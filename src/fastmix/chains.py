@@ -195,6 +195,14 @@ def edge_flow(chain, i, j):
     return float(chain.pi[i] * chain.P[i, j])
 
 
+def max_closed_neighborhood_mass(graph):
+    """``pi_*``: the largest pi-mass of a closed neighborhood {i} + N(i)."""
+    pi = graph.pi
+    closed = np.array([pi[i] + sum(pi[j] for j in graph.neighbors(i))
+                       for i in range(graph.n)])
+    return closed.max()
+
+
 def max_degree_chain(graph):
     """The canonical max-degree chain: P(i,j) = pi(j)/pi_* on edges.
 
@@ -203,9 +211,7 @@ def max_degree_chain(graph):
     goes on the diagonal.
     """
     pi = graph.pi
-    closed = np.array([pi[i] + sum(pi[j] for j in graph.neighbors(i))
-                       for i in range(graph.n)])
-    pi_star = closed.max()
+    pi_star = max_closed_neighborhood_mass(graph)
     P = np.zeros((graph.n, graph.n))
     for i, j in graph.edges:
         P[i, j] = pi[j] / pi_star
@@ -275,7 +281,15 @@ def saturate_flows(graph, flows, sweeps=500, tol=1e-15):
         np.subtract.at(resid, ei, delta)
         np.subtract.at(resid, ej, delta)
         resid = np.maximum(resid, 0.0)
-    # rounding guard: never leave a star over budget
+    return fit_to_budgets(graph, q)
+
+
+def fit_to_budgets(graph, q):
+    """Rounding guard: scale every node star over its budget back, in place.
+
+    For nonnegative flows one ordered pass suffices, because scaling a star
+    only shrinks the sums of the stars that share its edges.
+    """
     for i in range(graph.n):
         idx = graph.incident_edges(i)
         total = q[idx].sum()

@@ -114,7 +114,7 @@ def cmd_upper(args):
 
 def cmd_solve(args):
     graph = _load_graph(args.graph)
-    config = SolverConfig(max_iters=args.iters, step_constant=args.step, seed=args.seed)
+    config = SolverConfig(max_iters=args.iters, step_constant=args.step)
     result = solve_fastest_mixing(graph, config)
     payload = result.to_json_dict()
     if args.out_chain:
@@ -204,7 +204,6 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--iters", type=int, default=5000)
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-chain")
     p.set_defaults(func=cmd_solve)
 

@@ -66,8 +66,10 @@ def _graph_row(spec, graph):
 
     lb_expansion = ub_cheeger = None
     if graph.n <= EXPANSION_ENUM_CAP:
-        lb_expansion = lower_bounds.expansion_lower_bound(graph).value
-        ub_cheeger = upper_bounds.cheeger_upper_bound(graph)
+        # one 2^n enumeration serves both bounds
+        expansion = lower_bounds.expansion_lower_bound(graph)
+        lb_expansion = expansion.value
+        ub_cheeger = upper_bounds.cheeger_bound_from_expansion(graph, expansion.upsilon)
 
     result = solve_fastest_mixing(graph, spec.solver)
     paths = upper_bounds.shortest_path_system(graph)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import chain_from_flows, saturate_flows
+from .chains import (chain_from_flows, max_closed_neighborhood_mass,
+                     saturate_flows)
 from .lower_bounds import vertex_expansion
 
 
@@ -164,11 +165,18 @@ def equalize_congestion(graph, paths):
     return chain_from_flows(graph, saturate_flows(graph, W / rho_star))
 
 
-def cheeger_upper_bound(graph, candidates=None):
-    """Cheeger bound through the max-degree chain: (pi_*/pi_0)^2 * 2/Upsilon^2."""
-    upsilon, _ = vertex_expansion(graph, candidates)
-    closed = np.array([graph.pi[i] + sum(graph.pi[j] for j in graph.neighbors(i))
-                       for i in range(graph.n)])
-    pi_star = closed.max()
+def cheeger_bound_from_expansion(graph, upsilon):
+    """Cheeger bound through the max-degree chain: (pi_*/pi_0)^2 * 2/Upsilon^2.
+
+    ``upsilon`` is the graph's vertex expansion, as returned by
+    ``vertex_expansion`` or carried by ``expansion_lower_bound``.
+    """
+    pi_star = max_closed_neighborhood_mass(graph)
     pi_0 = graph.pi.min()
     return float((pi_star / pi_0) ** 2 * 2.0 / upsilon ** 2)
+
+
+def cheeger_upper_bound(graph, candidates=None):
+    """Cheeger bound, computing the vertex expansion (over ``candidates`` if given)."""
+    upsilon, _ = vertex_expansion(graph, candidates)
+    return cheeger_bound_from_expansion(graph, upsilon)

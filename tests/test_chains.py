@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fastmix.chains import (ReversibleChain, TransitionGraph, edge_flow,
-                            load_chain_csv, max_degree_chain, save_chain_csv,
-                            symmetric_walk, validate_chain)
+                            fit_to_budgets, load_chain_csv, max_degree_chain,
+                            save_chain_csv, symmetric_walk, validate_chain)
 from fastmix.families import cycle_graph, complete_graph, knkn_graph, torus_graph
 from fastmix.upper_bounds import equalize_congestion, shortest_path_system
 from helpers import random_connected_graph, random_valid_chain
@@ -123,6 +123,23 @@ class TestMaxDegreeChain:
         for _ in range(20):
             graph = random_connected_graph(rng, int(rng.integers(2, 10)))
             assert validate_chain(max_degree_chain(graph)) == []
+
+
+class TestFlowBudgets:
+    def test_fit_to_budgets_scales_stars_back(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            graph = random_connected_graph(rng, int(rng.integers(2, 10)))
+            q = rng.uniform(0.0, 2.0, size=len(graph.edges)) * graph.pi.max()
+            expected = q.copy()
+            for i in range(graph.n):   # reference: one ordered pass of star scalings
+                idx = graph.incident_edges(i)
+                if expected[idx].sum() > graph.pi[i]:
+                    expected[idx] *= graph.pi[i] / expected[idx].sum()
+            out = fit_to_budgets(graph, q)
+            assert out is q and np.array_equal(out, expected)
+            for i in range(graph.n):   # the rescaled sum may round one ulp high
+                assert q[graph.incident_edges(i)].sum() <= graph.pi[i] * (1 + 1e-15)
 
 
 class TestSymmetricWalk:

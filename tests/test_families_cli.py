@@ -87,6 +87,25 @@ class TestExperiments:
         assert row["max_width"] == 3
         assert row["tau2_rated"] is not None
 
+    def test_one_subset_enumeration_per_row(self, monkeypatch):
+        from fastmix import lower_bounds, upper_bounds
+        calls = []
+        original = lower_bounds.vertex_expansion
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lower_bounds, "vertex_expansion", counted)
+        monkeypatch.setattr(upper_bounds, "vertex_expansion", counted)
+        spec = experiments.ExperimentSpec(family="knkn", params={"n": 3},
+                                          solver=SolverConfig(max_iters=200))
+        row = experiments.run_experiment(spec)
+        assert len(calls) == 1
+        graph = families.knkn_graph(3)
+        assert row["ub_cheeger"] == upper_bounds.cheeger_upper_bound(graph)
+        assert row["lb_expansion"] == lower_bounds.expansion_lower_bound(graph).value
+
     def test_bound_inversion_detected(self):
         row = {"family": "cycle", "params": {"n": 4}, "lb_embed": 2.0,
                "lb_expansion": None, "tau2_solver": 1.0,
@@ -143,6 +162,15 @@ class TestCli:
         assert cli.main(["solve", str(gpath), "--iters", "500"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau2_star"] == pytest.approx(1.0, abs=1e-3)
+        assert payload["projection_steps"] >= payload["projection_max_steps"] >= 1
+        assert payload["projection_capped"] == 0
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "-0.1"])
+    def test_solve_rejects_bad_step(self, tmp_path, capsys, step):
+        gpath = tmp_path / "g.json"
+        families.cycle_graph(4).save(gpath)
+        assert cli.main(["solve", str(gpath), f"--step={step}"]) == cli.EXIT_VALIDATION
+        assert "step_constant" in capsys.readouterr().err
 
     def test_spectral_with_chain(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"

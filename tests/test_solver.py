@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from fastmix.chains import TransitionGraph, validate_chain
+from fastmix.chains import TransitionGraph, max_degree_chain, validate_chain
 from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
                               knkn_graph, path_graph, torus_graph)
 from fastmix.lower_bounds import expansion_lower_bound
-from fastmix.solver import (GRID_MAX_EDGES, OracleResult, SolverConfig,
-                            grid_oracle, solve_fastest_mixing)
+from fastmix.solver import (GRID_MAX_EDGES, FlowProjector, OracleResult,
+                            SolverConfig, grid_oracle, solve_fastest_mixing)
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import (cheeger_upper_bound, congestion,
                                   equalize_congestion, shortest_path_system)
@@ -59,8 +59,81 @@ class TestSolveFastestMixing:
             solve_fastest_mixing(TransitionGraph(1, []))
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
+        for kwargs in ({"max_iters": 0}, {"max_iters": float("nan")},
+                       {"step_constant": 0.0}, {"step_constant": -1.0},
+                       {"step_constant": float("nan")}, {"step_constant": float("inf")},
+                       {"projection_tol": 0.0}, {"projection_tol": float("nan")},
+                       {"projection_tol": float("inf")}):
+            with pytest.raises(ValueError):
+                SolverConfig(**kwargs)
+
+    def test_projection_work_is_reported(self):
+        result = solve_fastest_mixing(knkn_graph(3), SolverConfig(max_iters=300))
+        assert result.projection_steps >= result.projection_max_steps >= 1
+        assert result.projection_capped == 0
+        payload = result.to_json_dict()
+        for key in ("projection_steps", "projection_max_steps", "projection_capped"):
+            assert payload[key] == getattr(result, key)
+
+
+def _assert_kkt(graph, project, y, q):
+    """The KKT certificate of the projection of y onto the flow box."""
+    tol, lam, pi = project.tol, project.lam, graph.pi
+    loads = np.zeros(graph.n)
+    for k, (i, j) in enumerate(graph.edges):
+        loads[i] += q[k]
+        loads[j] += q[k]
+    slack = pi - loads
+    assert q.min() >= 0.0
+    assert slack.min() >= -tol
+    assert lam.min() >= 0.0
+    assert np.all(np.minimum(lam, np.abs(slack)) <= tol)      # complementary slackness
+    assert np.array_equal(q, np.maximum(y - lam[project.ei] - lam[project.ej], 0.0))
+
+
+def _projection_cases():
+    rng = np.random.default_rng(2024)
+    graphs = [random_connected_graph(rng, int(rng.integers(3, 17)))    # uneven pi
+              for _ in range(12)]
+    graphs += [random_connected_graph(rng, n, extra_edge_prob=0.0)      # trees
+               for n in (2, 5, 9, 16)]
+    graphs += [cycle_graph(4), cycle_graph(10), torus_graph(4, 2)]      # bipartite
+    return graphs
+
+
+class TestFlowProjector:
+    @pytest.mark.parametrize("graph", _projection_cases(), ids=repr)
+    def test_kkt_certificate_with_warm_starts(self, graph):
+        rng = np.random.default_rng(graph.n)
+        project = FlowProjector(graph, 1e-10)
+        scale = graph.pi.max()
+        y = rng.uniform(-0.5, 1.5, size=len(graph.edges)) * scale
+        for _ in range(25):
+            q = project(y)
+            _assert_kkt(graph, project, y, q)
+            y = q + rng.normal(scale=0.1 * scale, size=len(graph.edges))
+        assert project.capped == 0
+        assert project.max_steps <= 20
+
+    @pytest.mark.parametrize("graph", _projection_cases(), ids=repr)
+    def test_feasible_input_comes_back_unchanged(self, graph):
+        y = max_degree_chain(graph).flows()[[e[0] for e in graph.edges],
+                                            [e[1] for e in graph.edges]]
+        project = FlowProjector(graph, 1e-10)
+        assert np.array_equal(project(y), y)
+        assert project.steps == 0
+
+    def test_negative_input_gives_zero_flows(self):
+        graph = knkn_graph(4)
+        project = FlowProjector(graph, 1e-10)
+        m = len(graph.edges)
+        assert np.array_equal(project(-np.ones(m)), np.zeros(m))
+        project(np.ones(m))                         # leave warm multipliers behind
+        assert project.lam.max() > 0.0
+        y = -np.linspace(0.01, 1.0, m)
+        q = project(y)
+        assert np.array_equal(q, np.zeros(m))
+        _assert_kkt(graph, project, y, q)
 
 
 class TestGridOracle:

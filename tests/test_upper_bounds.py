@@ -6,9 +6,11 @@ import pytest
 from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
                             max_degree_chain, validate_chain)
 from fastmix.families import complete_graph, cycle_graph, knkn_graph
+from fastmix.lower_bounds import expansion_lower_bound
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from fastmix.upper_bounds import (PathSystem, cheeger_upper_bound, congestion,
+from fastmix.upper_bounds import (PathSystem, cheeger_bound_from_expansion,
+                                  cheeger_upper_bound, congestion,
                                   equalize_congestion, path_loads,
                                   shortest_path_system)
 from helpers import check_congestion_soundness, random_connected_graph
@@ -138,6 +140,14 @@ class TestCheeger:
         assert bound == pytest.approx(32.0)
         tau2 = solve_fastest_mixing(graph, SolverConfig(max_iters=1500)).tau2_star
         assert bound >= tau2
+
+    def test_from_expansion_matches_bitwise(self):
+        rng = np.random.default_rng(37)
+        for _ in range(6):
+            graph = random_connected_graph(rng, int(rng.integers(2, 9)))
+            upsilon = expansion_lower_bound(graph).upsilon
+            assert cheeger_bound_from_expansion(graph, upsilon) == \
+                cheeger_upper_bound(graph)
 
     def test_dominates_solver_on_random_graphs(self):
         rng = np.random.default_rng(36)
