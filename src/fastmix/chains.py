@@ -41,8 +41,8 @@ class TransitionGraph:
     """Undirected graph with implicit self-loops and a stationary distribution.
 
     Nodes are ``0..n-1``; ``edges`` holds canonical ``(min, max)`` pairs in
-    sorted order.  The graph must be connected and ``pi`` strictly positive,
-    summing to one.
+    sorted order.  The graph must be connected and ``pi`` finite, strictly
+    positive and summing to one.
     """
 
     def __init__(self, n, edges, pi=None):
@@ -56,8 +56,8 @@ class TransitionGraph:
         pi = np.asarray(pi, dtype=float).copy()
         if pi.shape != (n,):
             raise ValueError(f"pi has shape {pi.shape}, expected ({n},)")
-        if np.any(pi <= 0.0):
-            raise ValueError("pi must be strictly positive")
+        if not np.all((pi > 0.0) & np.isfinite(pi)):
+            raise ValueError("pi must be finite and strictly positive")
         if abs(pi.sum() - 1.0) > PI_SUM_TOL:
             raise ValueError(f"pi sums to {pi.sum()!r}, not 1 within {PI_SUM_TOL}")
         pi.flags.writeable = False

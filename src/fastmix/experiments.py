@@ -4,7 +4,8 @@ Graph families get the full sandwich (analytic embedding bound, expansion
 bound, solver value, equalized-congestion and Cheeger upper bounds, plus the
 max-degree reference chain); Ising trees get the rate-optimization row
 (widths, per-site bounds, exact spectra when the state space is small).
-Rows violating lower <= solver <= upper abort the run.
+Rows violating lower <= solver <= upper abort the run; the checks are
+written so that a NaN bound or value fails them too.
 """
 
 from __future__ import annotations
@@ -91,12 +92,12 @@ def _check_graph_row(row):
     uppers = [row[k] for k in ("ub_congestion", "ub_cheeger") if row[k] is not None]
     tau = row["tau2_solver"]
     for lb in lowers:
-        if lb > tau + SANDWICH_SLACK:
+        if not (lb <= tau + SANDWICH_SLACK):
             raise BoundInversionError(
                 f"lower bound {lb!r} exceeds solver value {tau!r} on {row['family']} "
                 f"{row['params']}")
     for ub in uppers:
-        if tau > ub + SANDWICH_SLACK:
+        if not (tau <= ub + SANDWICH_SLACK):
             raise BoundInversionError(
                 f"solver value {tau!r} exceeds upper bound {ub!r} on {row['family']} "
                 f"{row['params']}")
@@ -125,7 +126,7 @@ def _ising_row(spec):
         if not ok:
             raise BoundInversionError(
                 f"per-site congestion bounds failed on ising_tree {spec.params}")
-        if tau_major is not None and tau_major > tau_rated + SANDWICH_SLACK:
+        if tau_major is not None and not (tau_major <= tau_rated + SANDWICH_SLACK):
             raise BoundInversionError(
                 f"majority-cut lower bound exceeds the rated chain on {spec.params}")
 

@@ -2,9 +2,16 @@
 
 The stationary law is the Gibbs measure pi(sigma) proportional to the
 product of per-edge coupling factors.  A move picks a site v with
-probability rho(v) and resamples its color from the conditional law K given
+probability rho(v) and resamples its color from the heat-bath law K given
 the neighbors; the chain lives on the configuration graph whose edges join
 configurations differing at a single site.
+
+Three single sources carry the dynamics: the coupling tables built once by
+:class:`SpinSystem`, the per-site heat-bath kernels of
+:func:`heat_bath_kernels` (tabulated per neighbor-color profile, read by the
+chain build, ``kbar`` and the majority cut), and the single-site move
+``m + (c - cur) q^v`` on mixed-radix state indices, shared by the
+configuration graph, the chain build and the majority cut.
 
 The Ising specialization (colors -1/+1, couplings exp(beta * a * b)) comes
 with the cut-width machinery used to pick good update rates on complete
@@ -31,9 +38,11 @@ RATE_SUM_TOL = 1e-12
 class SpinSystem:
     """Pairwise model: site graph, finite color set, positive couplings.
 
-    ``coupling(v, w, a, b)`` is evaluated with the edge in canonical
-    orientation ``v < w``; it must be strictly positive, which keeps the
-    Gibbs measure supported on every configuration.
+    ``coupling(v, w, a, b)`` is evaluated once, here, for every canonical
+    edge ``v < w`` and color pair; the values are kept in ``tables``, one
+    read-only q x q array per edge indexed by the color indices at ``v`` and
+    ``w``.  Every value must be positive and finite, which keeps the Gibbs
+    measure supported on every configuration.
     """
 
     def __init__(self, n_sites, edges, colors, coupling, beta=None):
@@ -55,19 +64,24 @@ class SpinSystem:
         self.colors = tuple(colors)
         if len(self.colors) < 2:
             raise ValueError("need at least two colors")
-        self._coupling = coupling
         self.beta = beta
         nbrs = [[] for _ in range(self.n_sites)]
         for v, w in self.edges:
             nbrs[v].append(w)
             nbrs[w].append(v)
         self.neighbors = tuple(tuple(sorted(a)) for a in nbrs)
+        self.tables = {}
         for v, w in self.edges:
-            for a in self.colors:
-                for b in self.colors:
-                    if coupling(v, w, a, b) <= 0.0:
-                        raise ValueError(f"coupling on edge ({v},{w}) not positive "
-                                         f"at colors ({a},{b})")
+            table = np.array([[coupling(v, w, a, b) for b in self.colors]
+                              for a in self.colors], dtype=float)
+            bad = np.argwhere(~((table > 0.0) & np.isfinite(table)))
+            if len(bad):
+                a, b = bad[0]
+                raise ValueError(f"coupling on edge ({v},{w}) at colors "
+                                 f"({self.colors[a]},{self.colors[b]}) is "
+                                 f"{table[a, b]!r}; it must be positive and finite")
+            table.flags.writeable = False
+            self.tables[(v, w)] = table
 
     @classmethod
     def ising(cls, n_sites, edges, beta):
@@ -83,12 +97,6 @@ class SpinSystem:
     @property
     def max_degree(self):
         return max(len(a) for a in self.neighbors) if self.n_sites else 0
-
-    def edge_factor(self, x, y, color_x, color_y):
-        """Coupling of edge {x,y} with colors given per endpoint."""
-        if x < y:
-            return self._coupling(x, y, color_x, color_y)
-        return self._coupling(y, x, color_y, color_x)
 
 
 # -- configuration enumeration -------------------------------------------
@@ -112,25 +120,23 @@ def state_color_indices(system):
     return digits.astype(np.int64)
 
 
-def configuration_of(system, index):
-    """Color tuple of one enumerated configuration."""
+def _move_targets(system, digits, v, c):
+    """States reached by writing color index ``c`` at site ``v``: m + (c - cur) q^v.
+
+    ``c`` is a scalar or one color index per state; a state whose site
+    already has color ``c`` maps to itself.
+    """
     q = len(system.colors)
-    out = []
-    for _ in range(system.n_sites):
-        out.append(system.colors[index % q])
-        index //= q
-    return tuple(out)
+    return np.arange(system.n_states) + (c - digits[:, v]) * q ** v
 
 
 def gibbs_distribution(system):
     """Exact Gibbs probabilities over the enumerated configurations."""
     digits = state_color_indices(system)
-    q = len(system.colors)
     log_w = np.zeros(system.n_states)
-    for v, w in system.edges:
-        table = np.array([[math.log(system.edge_factor(v, w, a, b))
-                           for b in system.colors] for a in system.colors])
-        log_w += table[digits[:, v], digits[:, w]]
+    for (v, w), table in system.tables.items():
+        log_table = np.array([[math.log(x) for x in row] for row in table])
+        log_w += log_table[digits[:, v], digits[:, w]]
     log_w -= log_w.max()
     weights = np.exp(log_w)
     return weights / weights.sum()
@@ -138,34 +144,53 @@ def gibbs_distribution(system):
 
 def configuration_graph(system):
     """Transition graph on configurations: single-site moves, Gibbs pi."""
-    _check_enumerable(system)
-    q = len(system.colors)
-    edges = set()
-    for m in range(system.n_states):
-        for v in range(system.n_sites):
-            cur = (m // q ** v) % q
-            for c in range(cur + 1, q):
-                edges.add((m, m + (c - cur) * q ** v))
-    return TransitionGraph(system.n_states, sorted(edges), gibbs_distribution(system))
+    digits = state_color_indices(system)
+    states = np.arange(system.n_states)
+    src, dst = [], []
+    for v in range(system.n_sites):
+        for c in range(1, len(system.colors)):
+            up = digits[:, v] < c
+            src.append(states[up])
+            dst.append(_move_targets(system, digits, v, c)[up])
+    edges = zip(np.concatenate(src).tolist(), np.concatenate(dst).tolist())
+    return TransitionGraph(system.n_states, edges, gibbs_distribution(system))
 
 
 # -- the dynamics ---------------------------------------------------------
 
 
-def glauber_kernel(system, sigma, v, a):
-    """Heat-bath probability of writing color ``a`` at site ``v``.
+def heat_bath_kernels(system):
+    """Heat-bath law of every site, tabulated once per neighbor-color profile.
 
-    ``prod_{w ~ v} alpha(a, sigma(w))`` over the same product for every
-    candidate color; an isolated site resamples uniformly.
+    Entry ``[p, c]`` of array ``v`` is the probability of writing color
+    index ``c`` at site ``v`` when its sorted neighbors ``w_k`` carry color
+    indices ``d_k`` with ``p = sum_k d_k q^k``: the product over the
+    neighbors of the coupling tables, normalized over ``c``.  An isolated
+    site has one profile and resamples uniformly.
     """
-    weights = []
-    for c in system.colors:
-        prod = 1.0
-        for w in system.neighbors[v]:
-            prod *= system.edge_factor(v, w, c, sigma[w])
-        weights.append(prod)
-    total = sum(weights)
-    return weights[system.colors.index(a)] / total
+    q = len(system.colors)
+    kernels = []
+    for v, nbrs in enumerate(system.neighbors):
+        profiles = np.arange(q ** len(nbrs))
+        weights = np.ones((len(profiles), q))
+        for k, w in enumerate(nbrs):
+            # rows: color at v, columns: color at w
+            table = system.tables[(v, w)] if v < w else system.tables[(w, v)].T
+            weights *= table[:, profiles // q ** k % q].T
+        # summed left to right like a scalar loop; numpy's row sum would
+        # switch to pairwise order for long rows and round differently
+        total = weights[:, 0].copy()
+        for c in range(1, q):
+            total += weights[:, c]
+        kernels.append(weights / total[:, None])
+    return tuple(kernels)
+
+
+def _state_kernel(system, digits, kernels, v):
+    """(n_states, q): the heat-bath law at site ``v`` in every configuration."""
+    nbrs = list(system.neighbors[v])
+    profile = digits[:, nbrs] @ len(system.colors) ** np.arange(len(nbrs))
+    return kernels[v][profile]
 
 
 @dataclass(frozen=True)
@@ -177,7 +202,7 @@ class RateVector:
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", rho)
-        if np.any(rho < 0.0):
+        if not np.all(rho >= 0.0):
             raise ValueError("rates must be nonnegative")
         if abs(rho.sum() - 1.0) > RATE_SUM_TOL:
             raise ValueError(f"rates sum to {rho.sum()!r}, not 1")
@@ -194,68 +219,32 @@ def build_glauber_chain(system, rates):
     diagonal absorbs the rest.  Output is reversible for the exact Gibbs pi
     by construction (checked numerically by the callers' validators).
     """
-    _check_enumerable(system)
+    digits = state_color_indices(system)
     if len(rates.rho) != system.n_sites:
         raise ValueError("one rate per site required")
-    q = len(system.colors)
-    digits = state_color_indices(system)
+    kernels = heat_bath_kernels(system)
     N = system.n_states
+    states = np.arange(N)
     P = np.zeros((N, N))
-    kernel_cache = {}
-    for m in range(N):
-        off = 0.0
-        for v in range(system.n_sites):
-            if rates.rho[v] == 0.0:
-                continue
-            profile = tuple(digits[m, w] for w in system.neighbors[v])
-            key = (v, profile)
-            weights = kernel_cache.get(key)
-            if weights is None:
-                weights = []
-                for c in system.colors:
-                    prod = 1.0
-                    for w, cw in zip(system.neighbors[v], profile):
-                        prod *= system.edge_factor(v, w, c, system.colors[cw])
-                    weights.append(prod)
-                total = sum(weights)
-                weights = [x / total for x in weights]
-                kernel_cache[key] = weights
-            cur = digits[m, v]
-            for c in range(q):
-                if c == cur:
-                    continue
-                target = m + (c - cur) * q ** v
-                move = rates.rho[v] * weights[c]
-                P[m, target] = move
-                off += move
-        P[m, m] = 1.0 - off
+    off = np.zeros(N)
+    for v, rho_v in enumerate(rates.rho):
+        if rho_v == 0.0:
+            continue
+        law = _state_kernel(system, digits, kernels, v)
+        for c in range(len(system.colors)):
+            moving = digits[:, v] != c
+            move = rho_v * law[moving, c]
+            P[states[moving], _move_targets(system, digits, v, c)[moving]] = move
+            off[moving] += move
+    P[states, states] = 1.0 - off
     return ReversibleChain(configuration_graph(system), P)
 
 
 def kbar(system):
     """Worst inverse kernel probability over all (configuration, site, color)."""
     _check_enumerable(system)
-    digits = state_color_indices(system)
-    worst = 0.0
-    seen = set()
-    for m in range(system.n_states):
-        for v in range(system.n_sites):
-            profile = tuple(digits[m, w] for w in system.neighbors[v])
-            if (v, profile) in seen:
-                continue
-            seen.add((v, profile))
-            weights = []
-            for c in system.colors:
-                prod = 1.0
-                for w, cw in zip(system.neighbors[v], profile):
-                    prod *= system.edge_factor(v, w, c, system.colors[cw])
-                weights.append(prod)
-            total = sum(weights)
-            smallest = min(weights) / total
-            if smallest <= 0.0:
-                return math.inf
-            worst = max(worst, 1.0 / smallest)
-    return worst
+    smallest = min(float(K.min()) for K in heat_bath_kernels(system))
+    return math.inf if smallest <= 0.0 else 1.0 / smallest
 
 
 @dataclass(frozen=True)
@@ -504,24 +493,15 @@ def recursive_majority(tree, sigma):
         raise ValueError("one spin per tree node required")
     if not np.all(np.isin(sigma, (-1, 1))):
         raise ValueError("spins must be -1/+1")
+    return int(_majority_table(tree, sigma[None, :])[0])
+
+
+def _majority_table(tree, spins):
+    """recursive_majority of every row of an (n_configs, n_nodes) +-1 array."""
     level = tree.node_levels()
     children = tree.children()
-    m = np.array(sigma, dtype=np.int64)
+    m = np.array(spins, dtype=np.int64)
     for v in range(tree.node_count - 1, -1, -1):
-        if level[v] < tree.levels:
-            m[v] = 1 if sum(m[c] for c in children[v]) > 0 else -1
-    return int(m[0])
-
-
-def _majority_table(tree):
-    """recursive_majority over every +-1 configuration, vectorized on bits."""
-    n = tree.node_count
-    states = np.arange(1 << n)
-    spins = np.where((states[:, None] >> np.arange(n)[None, :]) & 1 == 1, 1, -1)
-    level = tree.node_levels()
-    children = tree.children()
-    m = spins.astype(np.int64).copy()
-    for v in range(n - 1, -1, -1):
         if level[v] < tree.levels:
             total = sum(m[:, c] for c in children[v])
             m[:, v] = np.where(total > 0, 1, -1)
@@ -578,27 +558,26 @@ def majority_cut_bound(tree, beta, enumerate_cap_levels=2):
                             coupling=lambda v, w, a, b: math.exp(beta * a * b),
                             beta=beta)
         pi = gibbs_distribution(system)
-        majority = _majority_table(tree)
-        states = np.arange(1 << tree.node_count)
+        digits = state_color_indices(system)
+        kernels = heat_bath_kernels(system)
+        majority = _majority_table(tree, np.asarray(system.colors)[digits])
+        states = np.arange(system.n_states)
         in_S = majority == 1
         leaves = tree.leaves()
 
-        first_leaf = leaves[0]
-        pivotal = majority != majority[states ^ (1 << first_leaf)]
+        def flipped(leaf):
+            return _move_targets(system, digits, leaf, 1 - digits[:, leaf])
+
+        pivotal = majority != majority[flipped(leaves[0])]
         flip_probability = float(pi[pivotal].sum())
 
         on_boundary = np.zeros(len(states), dtype=bool)
-        parent = tree.parents()
         phi_sum = 0.0
-        spins = np.where((states[:, None] >> np.arange(tree.node_count)[None, :]) & 1 == 1,
-                         1, -1)
         for leaf in leaves:
-            flipped = states ^ (1 << leaf)
-            exits = in_S & (majority[flipped] == -1)
+            exits = in_S & (majority[flipped(leaf)] == -1)
             on_boundary |= exits
-            s_parent = spins[:, parent[leaf]]
-            new_spin = -spins[:, leaf]
-            kernel = np.exp(beta * new_spin * s_parent) / (2.0 * np.cosh(beta * s_parent))
+            law = _state_kernel(system, digits, kernels, leaf)
+            kernel = law[states, 1 - digits[:, leaf]]
             phi_sum += float((pi[exits] * kernel[exits]).sum()) / tree.node_count
         pi_S = float(pi[in_S].sum())
         exact = ExactMajorityStats(pi_S=pi_S,

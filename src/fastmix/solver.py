@@ -68,13 +68,20 @@ class SolverResult:
 
 
 def _symmetrized_from_flows(q, pi, sqrt_pi, ei, ej, n):
-    S = np.zeros((n, n))
-    S[ei, ej] = q / (sqrt_pi[ei] * sqrt_pi[ej])
-    S += S.T
-    row_off = np.zeros(n)
-    np.add.at(row_off, ei, q)
-    np.add.at(row_off, ej, q)
-    np.fill_diagonal(S, 1.0 - row_off / pi)
+    """D^{1/2} P D^{-1/2} of the chain with edge flows ``q``.
+
+    ``q`` holds one flow per edge on its last axis; any leading axes are
+    batch axes, and each batch entry is built exactly as an unbatched call.
+    """
+    batch = q.shape[:-1]
+    S = np.zeros(batch + (n, n))
+    S[..., ei, ej] = q / (sqrt_pi[ei] * sqrt_pi[ej])
+    S += S.swapaxes(-1, -2)
+    row_off = np.zeros(batch + (n,))
+    np.add.at(row_off, (..., ei), q)
+    np.add.at(row_off, (..., ej), q)
+    diag = np.arange(n)
+    S[..., diag, diag] = 1.0 - row_off / pi
     return S
 
 
@@ -201,16 +208,17 @@ class FlowProjector:
 
 
 def _candidate_flows(graph, best_q):
-    """Deterministic finishers compared against the best descent iterate.
+    """Deterministic finishers that replace the best descent iterate.
 
     lambda2 is non-increasing in every flow (each Rayleigh quotient is
-    linear with a nonpositive flow coefficient), so saturating the iterate
-    can only help; the symmetric walk and the congestion-equalized chain
-    catch the symmetric instances where those are exactly optimal.
+    linear with a nonpositive flow coefficient), so the saturated iterate
+    stands in for the raw one; the symmetric walk and the
+    congestion-equalized chain catch the symmetric instances where those
+    are exactly optimal.
     """
     from .upper_bounds import equalize_congestion, shortest_path_system
 
-    candidates = [saturate_flows(graph, best_q), best_q]
+    candidates = [saturate_flows(graph, best_q)]
     degrees = {graph.degree(i) for i in range(graph.n)}
     if graph.uniform_pi() and len(degrees) == 1:
         walk = symmetric_walk(graph)
@@ -231,8 +239,8 @@ def solve_fastest_mixing(graph, config=None):
     mismatch is largest, normalized to unit length, with step c/sqrt(t),
     and is followed by the exact Euclidean projection back onto the flow
     box (:class:`FlowProjector`).
-    The best iterate is kept, then compared against a few deterministic
-    closed-form candidates (its saturated version, the symmetric walk when
+    The best iterate is kept, then a few deterministic closed-form
+    candidates are compared (its saturated version, the symmetric walk when
     it is reversible, the congestion-equalized chain), and the winner is
     returned as a feasible, validated chain.
     """
@@ -269,13 +277,10 @@ def solve_fastest_mixing(graph, config=None):
             break
         q = project(q + (config.step_constant / math.sqrt(t)) * direction / norm)
 
-    best_q = fit_to_budgets(graph, best_q)
-    winner, winner_lambda = best_q, math.inf
-    for candidate in _candidate_flows(graph, best_q):
-        S = _symmetrized_from_flows(candidate, pi, sqrt_pi, ei, ej, n)
-        lam2 = np.linalg.eigvalsh(S)[-2]
-        if lam2 < winner_lambda:
-            winner, winner_lambda = candidate, lam2
+    candidates = _candidate_flows(graph, fit_to_budgets(graph, best_q))
+    finals = [np.linalg.eigvalsh(_symmetrized_from_flows(c, pi, sqrt_pi, ei, ej, n))[-2]
+              for c in candidates]
+    winner = candidates[int(np.argmin(finals))]
 
     chain = chain_from_flows(graph, winner)
     report = validate_chain(chain)
@@ -332,15 +337,9 @@ def grid_oracle(graph, resolution):
 
     best_lambda = math.inf
     best_q = None
-    scale = 1.0 / (sqrt_pi[ei] * sqrt_pi[ej])
     for start in range(0, len(points), _EIG_CHUNK):
         block = points[start:start + _EIG_CHUNK]
-        S = np.zeros((len(block), n, n))
-        S[:, ei, ej] = block * scale
-        S[:, ej, ei] = block * scale
-        row_off = block @ incidence.T
-        diag = 1.0 - row_off / pi
-        S[:, np.arange(n), np.arange(n)] = diag
+        S = _symmetrized_from_flows(block, pi, sqrt_pi, ei, ej, n)
         lams = np.linalg.eigvalsh(S)[:, -2]
         k = int(np.argmin(lams))
         if lams[k] < best_lambda:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ class TestTransitionGraph:
             TransitionGraph(2, [(0, 1)], [1.0, 0.0])
         with pytest.raises(ValueError, match="sums"):
             TransitionGraph(2, [(0, 1)], [0.6, 0.6])
+
+    @pytest.mark.parametrize("pi", [[math.nan, math.nan], [0.5, math.nan],
+                                    [math.inf, 0.5], [-math.inf, math.inf]])
+    def test_rejects_non_finite_pi(self, pi):
+        with pytest.raises(ValueError, match="finite"):
+            TransitionGraph(2, [(0, 1)], pi)
 
     def test_canonical_order(self):
         g = TransitionGraph(3, [(2, 1), (1, 0), (0, 2)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -116,6 +117,30 @@ class TestExperiments:
         with pytest.raises(experiments.BoundInversionError, match="upper bound"):
             experiments._check_graph_row(row)
 
+    def test_nan_graph_row_is_an_inversion(self):
+        row = {"family": "cycle", "params": {"n": 4}, "lb_embed": 0.5,
+               "lb_expansion": None, "tau2_solver": float("nan"),
+               "ub_congestion": 3.0, "ub_cheeger": None, "tau2_standard": 1.5}
+        with pytest.raises(experiments.BoundInversionError, match="lower bound"):
+            experiments._check_graph_row(row)
+        row.update(tau2_solver=1.0, lb_embed=None, ub_congestion=float("nan"))
+        with pytest.raises(experiments.BoundInversionError, match="upper bound"):
+            experiments._check_graph_row(row)
+
+    def test_nan_majority_bound_is_an_inversion(self, monkeypatch):
+        from fastmix import glauber
+        original = glauber.majority_cut_bound
+
+        def nan_bound(tree, beta):
+            return dataclasses.replace(original(tree, beta), lambda2_lower=float("nan"),
+                                       vacuous=False)
+
+        monkeypatch.setattr(glauber, "majority_cut_bound", nan_bound)
+        spec = experiments.ExperimentSpec(family="ising_tree",
+                                          params={"b": 3, "r": 1, "beta": 1.0})
+        with pytest.raises(experiments.BoundInversionError, match="majority-cut"):
+            experiments.run_experiment(spec)
+
     def test_write_rows_csv(self, tmp_path):
         spec = experiments.ExperimentSpec(
             family="cycle", params={"n": 4}, solver=SolverConfig(max_iters=1000))
@@ -186,6 +211,10 @@ class TestCli:
         assert payload["widths"] == [3, 2, 1, 0]
         assert payload["tau2_exact"] > 0
 
+    def test_glauber_rejects_nan_beta(self, capsys):
+        assert cli.main(["glauber", "--tree", "3,1", "--beta", "nan"]) == cli.EXIT_VALIDATION
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = cli.main(["report", "--family", "cycle", "--sweep", "n=4",
@@ -204,6 +233,16 @@ class TestCli:
         monkeypatch.setattr(experiments, "run_sweep", boom)
         code = cli.main(["report", "--family", "knkn", "--sweep", "n=3"])
         assert code == cli.EXIT_INVERSION
+
+    @pytest.mark.parametrize("command", [["spectral"],
+                                         ["report", "--family", "custom", "--sweep"]])
+    def test_nan_pi_exit_code(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"n": 2, "edges": [[0, 1]], "pi": [NaN, NaN]}')
+        target = str(bad) if command == ["spectral"] else f"path={bad}"
+        assert cli.main(command + [target]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["spectral", "/nonexistent/g.json"]) == cli.EXIT_VALIDATION

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastmix.chains import validate_chain
 from fastmix.families import ising_tree
 from fastmix.glauber import (ExactMajorityStats, RateVector, SpinSystem, TreeSpec,
                              build_glauber_chain, check_rate_improvement_limits,
-                             configuration_graph, gibbs_distribution, glauber_kernel,
+                             configuration_graph, gibbs_distribution, heat_bath_kernels,
                              kbar, log_site_bounds, log_zeta, majority_cut_bound,
                              node_widths, optimal_rates, prefix_cut_sizes,
                              rates_from_log_bounds, recursive_majority, site_bounds,
@@ -34,6 +36,28 @@ class TestSpinSystem:
         with pytest.raises(ValueError, match="positive"):
             SpinSystem(2, [(0, 1)], (-1, 1), lambda v, w, a, b: a * b)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_non_finite_couplings(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SpinSystem(2, [(0, 1)], (-1, 1),
+                       lambda v, w, a, b: value if (a, b) == (1, -1) else 1.0)
+
+    def test_coupling_is_read_once_into_tables(self):
+        calls = []
+
+        def coupling(v, w, a, b):
+            calls.append((v, w, a, b))
+            return 1.0 + v + 2 * w + (a == b)
+
+        sys_ = SpinSystem(3, [(2, 1), (0, 1)], (0, 1, 2), coupling)
+        assert sorted(calls) == sorted((v, w, a, b) for v, w in ((0, 1), (1, 2))
+                                       for a in range(3) for b in range(3))
+        assert sys_.tables[(1, 2)][0, 2] == coupling(1, 2, 0, 2)
+        del calls[:]
+        build_glauber_chain(sys_, uniform_rates(3))
+        kbar(sys_)
+        assert calls == []
+
     def test_rejects_duplicate_site_edges(self):
         with pytest.raises(ValueError, match="duplicate"):
             SpinSystem.ising(2, [(0, 1), (1, 0)], 1.0)
@@ -47,26 +71,128 @@ class TestSpinSystem:
 
 class TestKernel:
     def test_constant_couplings_give_half(self):
-        sys_ = hot_edge()
-        for sigma in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-            for a in (-1, 1):
-                assert glauber_kernel(sys_, sigma, 0, a) == pytest.approx(0.5)
+        for K in heat_bath_kernels(hot_edge()):
+            assert K.shape == (2, 2)
+            assert np.all(K == 0.5)
 
     def test_edge_flip_probability(self):
         beta = 0.7
-        k = glauber_kernel(ising_edge(beta), (1, 1), 0, -1)
-        assert k == pytest.approx(math.exp(-beta) / (math.exp(beta) + math.exp(-beta)))
+        K = heat_bath_kernels(ising_edge(beta))[0]
+        # site 0 writes -1 (index 0) while its neighbor holds +1 (index 1)
+        assert K[1, 0] == pytest.approx(math.exp(-beta) / (math.exp(beta) + math.exp(-beta)))
 
     def test_isolated_site_uniform(self):
         sys_ = SpinSystem(1, [], colors=("a", "b", "c"), coupling=lambda v, w, a, b: 1.0)
-        assert glauber_kernel(sys_, ("a",), 0, "c") == pytest.approx(1 / 3)
+        (K,) = heat_bath_kernels(sys_)
+        assert K.shape == (1, 3)
+        assert K[0, 2] == pytest.approx(1 / 3)
 
     def test_normalization(self):
-        sys_ = ising_edge(1.3)
-        for sigma in ((-1, -1), (-1, 1), (1, 1)):
-            for v in range(2):
-                total = sum(glauber_kernel(sys_, sigma, v, a) for a in (-1, 1))
-                assert total == pytest.approx(1.0, abs=1e-12)
+        for K in heat_bath_kernels(ising_edge(1.3)):
+            assert np.allclose(K.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def spin_systems_with_rates(draw):
+    """1-4 sites, 2 or 3 colors, random positive couplings, rates with zeros."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([2, 3]))
+    pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    values = st.floats(0.05, 20.0)
+    tables = {e: [[draw(values) for _ in range(q)] for _ in range(q)] for e in edges}
+    system = SpinSystem(n, edges, tuple(range(q)),
+                        lambda v, w, a, b: tables[(v, w)][a][b])
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n)
+                   .filter(lambda ws: sum(ws) > 0))
+    rho = np.array(weights) / sum(weights)
+    return system, RateVector(rho)
+
+
+def scalar_reference(system, rho):
+    """Transition matrix and kbar entry by entry with scalar floats.
+
+    Products run over the sorted neighbors and sums left to right, the
+    order the vectorized kernel keeps, so the two must agree bitwise.
+    """
+    q, N = len(system.colors), system.n_states
+    P = np.zeros((N, N))
+    smallest = math.inf
+    for m in range(N):
+        digit = [m // q ** v % q for v in range(system.n_sites)]
+        off = 0.0
+        for v in range(system.n_sites):
+            weights = []
+            for c in range(q):
+                prod = 1.0
+                for w in system.neighbors[v]:
+                    prod *= (system.tables[(v, w)][c, digit[w]] if v < w
+                             else system.tables[(w, v)][digit[w], c])
+                weights.append(prod)
+            total = 0.0
+            for x in weights:
+                total += x
+            law = [x / total for x in weights]
+            smallest = min(smallest, min(law))
+            if rho[v] == 0.0:
+                continue
+            for c in range(q):
+                if c != digit[v]:
+                    move = rho[v] * law[c]
+                    P[m, m + (c - digit[v]) * q ** v] = move
+                    off += move
+        P[m, m] = 1.0 - off
+    return P, 1.0 / smallest
+
+
+class TestKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(spin_systems_with_rates())
+    def test_matches_scalar_reference_bitwise(self, case):
+        system, rates = case
+        P, kb = scalar_reference(system, rates.rho)
+        assert np.array_equal(build_glauber_chain(system, rates).P, P)
+        assert kbar(system) == kb
+
+    @settings(max_examples=40, deadline=None)
+    @given(spin_systems_with_rates())
+    def test_rows_sum_to_one(self, case):
+        system, _ = case
+        q = len(system.colors)
+        kernels = heat_bath_kernels(system)
+        for v, K in enumerate(kernels):
+            assert K.shape == (q ** len(system.neighbors[v]), q)
+            assert np.all(K > 0)
+            assert np.allclose(K.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spin_systems_with_rates())
+    def test_kernel_is_the_gibbs_conditional(self, case):
+        system, _ = case
+        q = len(system.colors)
+        pi = gibbs_distribution(system)
+        digits = state_color_indices(system)
+        kernels = heat_bath_kernels(system)
+        for m in range(system.n_states):
+            for v, nbrs in enumerate(system.neighbors):
+                profile = sum(digits[m, w] * q ** k for k, w in enumerate(nbrs))
+                column = [m + (c - digits[m, v]) * q ** v for c in range(q)]
+                conditional = pi[column] / pi[column].sum()
+                assert np.allclose(kernels[v][profile], conditional, rtol=1e-9, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spin_systems_with_rates())
+    def test_chain_is_valid(self, case):
+        system, rates = case
+        assert validate_chain(build_glauber_chain(system, rates)) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(spin_systems_with_rates())
+    def test_kbar_at_least_q(self, case):
+        system, _ = case
+        # the smallest of q probabilities summing to one is at most 1/q, up
+        # to the rounding of the normalization
+        assert kbar(system) >= len(system.colors) * (1 - 1e-12)
 
 
 class TestGlauberChain:
@@ -236,6 +362,8 @@ class TestRates:
             RateVector(np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             RateVector(np.array([-0.5, 1.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            RateVector(np.array([math.nan, 1.0]))
 
     def test_rated_chain_beats_its_bound(self):
         # the whole point of the tuned rates: tau2 within the averaged bound
@@ -268,8 +396,9 @@ class TestRecursiveMajority:
     def test_antisymmetry_exhaustive(self):
         from fastmix.glauber import _majority_table
         for r in (1, 2):
-            tree = TreeSpec(3, r)
-            table = _majority_table(tree)
+            tree, sys_ = ising_tree(3, r, 1.0)
+            spins = np.asarray(sys_.colors)[state_color_indices(sys_)]
+            table = _majority_table(tree, spins)
             flipped = table[np.arange(len(table))[::-1]]  # complementing bits
             assert np.array_equal(table, -flipped)
 
