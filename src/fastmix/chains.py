@@ -160,30 +160,31 @@ def validate_chain(chain):
     """Check a chain against every feasibility constraint of its instance.
 
     Returns a list of human-readable violation messages (with indices and
-    magnitudes); an empty list means the chain is feasible.
+    magnitudes); an empty list means the chain is feasible.  Every check is
+    written as ``not (x <= tol)``, so NaN entries fail it.
     """
     g, P = chain.graph, chain.P
     report = []
 
-    neg = np.argwhere(P < -NONNEG_TOL)
+    neg = np.argwhere(~(P >= -NONNEG_TOL))
     for i, j in neg:
-        report.append(f"negative entry P[{i},{j}] = {P[i, j]:.3e}")
+        report.append(f"negative or non-finite entry P[{i},{j}] = {P[i, j]:.3e}")
 
     off = ~np.eye(g.n, dtype=bool)
     allowed = np.zeros((g.n, g.n), dtype=bool)
     for i, j in g.edges:
         allowed[i, j] = allowed[j, i] = True
-    bad = np.argwhere(off & ~allowed & (np.abs(P) > NONNEG_TOL))
+    bad = np.argwhere(off & ~allowed & ~(np.abs(P) <= NONNEG_TOL))
     for i, j in bad:
         report.append(f"mass {P[i, j]:.3e} on non-edge ({i},{j})")
 
     rows = P.sum(axis=1)
-    for i in np.nonzero(np.abs(rows - 1.0) > STOCHASTIC_TOL)[0]:
+    for i in np.nonzero(~(np.abs(rows - 1.0) <= STOCHASTIC_TOL))[0]:
         report.append(f"row {i} sums to {rows[i]!r} (|1 - sum| = {abs(1 - rows[i]):.3e})")
 
     F = chain.pi[:, None] * P
     gap = np.abs(F - F.T)
-    for i, j in np.argwhere(np.triu(gap, 1) > STOCHASTIC_TOL):
+    for i, j in np.argwhere(np.triu(~(gap <= STOCHASTIC_TOL), 1)):
         report.append(
             f"detailed balance broken on ({i},{j}): "
             f"pi(i)P(i,j) - pi(j)P(j,i) = {F[i, j] - F[j, i]:.3e}")

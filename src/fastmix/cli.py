@@ -100,8 +100,9 @@ def cmd_lower(args):
 def cmd_upper(args):
     graph = _load_graph(args.graph)
     paths = upper_bounds.shortest_path_system(graph)
-    equalized = upper_bounds.equalize_congestion(graph, paths)
-    report = upper_bounds.congestion(equalized, paths)
+    loads = upper_bounds.path_loads(graph, paths)
+    equalized = upper_bounds.equalize_congestion(graph, paths, loads)
+    report = upper_bounds.congestion(equalized, paths, loads)
     payload = report.to_json_dict()
     if graph.n <= lower_bounds.EXHAUSTIVE_NODE_CAP:
         payload["ub_cheeger"] = upper_bounds.cheeger_upper_bound(graph)
@@ -114,7 +115,7 @@ def cmd_upper(args):
 
 def cmd_solve(args):
     graph = _load_graph(args.graph)
-    config = SolverConfig(max_iters=args.iters, step_constant=args.step)
+    config = SolverConfig(max_iters=args.iters)
     result = solve_fastest_mixing(graph, config)
     payload = result.to_json_dict()
     if args.out_chain:
@@ -154,7 +155,7 @@ def cmd_glauber(args):
 
 def cmd_report(args):
     specs = []
-    config = SolverConfig(max_iters=args.iters, step_constant=args.step)
+    config = SolverConfig(max_iters=args.iters)
     for value in args.sweep:
         params = {}
         for pair in value.split(";"):
@@ -202,8 +203,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="minimize lambda2 numerically")
     p.add_argument("graph")
-    p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--iters", type=int, default=5000, help="cap on Newton steps")
     p.add_argument("--out-chain")
     p.set_defaults(func=cmd_solve)
 
@@ -218,8 +218,7 @@ def build_parser():
     p.add_argument("--family", required=True, choices=families.FAMILIES)
     p.add_argument("--sweep", action="append", required=True,
                    metavar="KEY=VAL[;KEY=VAL...]")
-    p.add_argument("--iters", type=int, default=3000)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--iters", type=int, default=3000, help="cap on Newton steps")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

@@ -1,9 +1,12 @@
 """Benchmark harness: one row of certified bounds per instance.
 
-Graph families get the full sandwich (analytic embedding bound, expansion
-bound, solver value, equalized-congestion and Cheeger upper bounds, plus the
-max-degree reference chain); Ising trees get the rate-optimization row
-(widths, per-site bounds, exact spectra when the state space is small).
+Graph families get the full sandwich (the solver's dual embedding bound, or
+the analytic one where it is larger, the expansion bound, the solver value,
+equalized-congestion and Cheeger upper bounds, the max-degree reference
+chain, and the certified gap between the best lower bound and the solver
+value, which the JSON carries but the CSV columns leave out); Ising trees get
+the rate-optimization row (widths, per-site bounds, exact spectra when the
+state space is small).
 Rows violating lower <= solver <= upper abort the run; the checks are
 written so that a NaN bound or value fails them too.
 """
@@ -61,9 +64,13 @@ def _family_embedding(family, params):
 
 
 def _graph_row(spec, graph):
+    result = solve_fastest_mixing(graph, spec.solver)
+    # the solver's dual embedding bounds every graph; a closed form may be
+    # tighter by the solver's remaining gap
+    lb_embed = result.lower_bound
     embedding = _family_embedding(spec.family, spec.params)
-    lb_embed = (lower_bounds.embedding_bound(graph, embedding)
-                if embedding is not None else None)
+    if embedding is not None:
+        lb_embed = max(lb_embed, lower_bounds.embedding_bound(graph, embedding))
 
     lb_expansion = ub_cheeger = None
     if graph.n <= EXPANSION_ENUM_CAP:
@@ -72,17 +79,20 @@ def _graph_row(spec, graph):
         lb_expansion = expansion.value
         ub_cheeger = upper_bounds.cheeger_bound_from_expansion(graph, expansion.upsilon)
 
-    result = solve_fastest_mixing(graph, spec.solver)
     paths = upper_bounds.shortest_path_system(graph)
-    equalized = upper_bounds.equalize_congestion(graph, paths)
-    ub_congestion = upper_bounds.congestion(equalized, paths).rho_bar
+    loads = upper_bounds.path_loads(graph, paths)
+    equalized = upper_bounds.equalize_congestion(graph, paths, loads)
+    ub_congestion = upper_bounds.congestion(equalized, paths, loads).rho_bar
     tau2_standard = spectrum(max_degree_chain(graph)).relaxation_time
 
+    tau = result.tau2_star
+    lower = lb_embed if lb_expansion is None else max(lb_embed, lb_expansion)
     row = {"family": spec.family, "params": dict(spec.params),
            "lb_embed": lb_embed, "lb_expansion": lb_expansion,
-           "tau2_solver": result.tau2_star,
+           "tau2_solver": tau,
            "ub_congestion": ub_congestion, "ub_cheeger": ub_cheeger,
-           "tau2_standard": tau2_standard}
+           "tau2_standard": tau2_standard,
+           "certified_gap": (tau - lower) / tau}
     _check_graph_row(row)
     return row
 
@@ -155,7 +165,9 @@ def run_sweep(specs):
 
 
 def _flatten(row):
-    flat = dict(row)
+    """The row's CSV columns, as CSV-ready values."""
+    columns = ISING_COLUMNS if row["family"] == "ising_tree" else GRAPH_COLUMNS
+    flat = {key: row[key] for key in columns}
     flat["params"] = json.dumps(row["params"], sort_keys=True)
     for key, value in flat.items():
         if value is None:

@@ -26,7 +26,8 @@ class Embedding:
     """Per-node vectors plus nonnegative slack weights.
 
     Feasible means: pi-centered vectors, slacks averaging to one under pi,
-    and squared edge lengths within the endpoint slack budgets.
+    and squared edge lengths within the endpoint slack budgets.  Vectors and
+    slacks must be finite.
     """
 
     def __init__(self, vectors, slacks):
@@ -34,8 +35,10 @@ class Embedding:
         if vectors.ndim == 1:
             vectors = vectors[:, None]
         slacks = np.array(slacks, dtype=float)
-        if vectors.shape[0] != slacks.shape[0]:
+        if slacks.ndim != 1 or vectors.ndim != 2 or vectors.shape[0] != slacks.shape[0]:
             raise ValueError("vectors and slacks disagree on node count")
+        if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(slacks))):
+            raise ValueError("embedding vectors and slacks must be finite")
         vectors.flags.writeable = False
         slacks.flags.writeable = False
         self.vectors = vectors
@@ -63,23 +66,26 @@ class Embedding:
 
 
 def embedding_violations(graph, emb, slack=FEASIBILITY_SLACK):
-    """List every violated feasibility constraint of an embedding."""
+    """List every violated feasibility constraint of an embedding.
+
+    Every check is written as ``not (x <= tol)``, so NaN fails it.
+    """
     if emb.vectors.shape[0] != graph.n:
         return [f"embedding has {emb.vectors.shape[0]} nodes, graph has {graph.n}"]
     pi = graph.pi
     report = []
     center = np.linalg.norm(pi @ emb.vectors)
-    if center > slack:
+    if not (center <= slack):
         report.append(f"not centered: |sum pi(k) psi(k)| = {center:.3e}")
     norm = float(pi @ emb.slacks)
-    if abs(norm - 1.0) > slack:
+    if not (abs(norm - 1.0) <= slack):
         report.append(f"slack normalization sum pi(i)w(i) = {norm!r}")
-    for i in np.nonzero(emb.slacks < -1e-12)[0]:
+    for i in np.nonzero(~(emb.slacks >= -1e-12))[0]:
         report.append(f"negative slack w({i}) = {emb.slacks[i]:.3e}")
     for i, j in graph.edges:
         d2 = float(np.sum((emb.vectors[i] - emb.vectors[j]) ** 2))
         budget = emb.slacks[i] + emb.slacks[j]
-        if d2 > budget + slack:
+        if not (d2 <= budget + slack):
             report.append(
                 f"edge ({i},{j}): squared distance {d2!r} exceeds w(i)+w(j) = {budget!r}")
     return report
@@ -106,16 +112,18 @@ def specified_chain_bound(chain, vectors):
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim == 1:
         vectors = vectors[:, None]
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("vectors must be finite")
     pi = chain.pi
     center = np.linalg.norm(pi @ vectors)
     scale = max(1.0, float(np.abs(vectors).max()))
-    if center > 1e-9 * scale:
+    if not (center <= 1e-9 * scale):
         raise ValueError(f"vectors not centered under pi: |sum| = {center:.3e}")
     dirichlet = 0.0
     for i, j in chain.graph.edges:
         d2 = float(np.sum((vectors[i] - vectors[j]) ** 2))
         dirichlet += d2 * pi[i] * chain.P[i, j]
-    if dirichlet <= 1e-300:
+    if not (dirichlet > 1e-300):
         raise ValueError("degenerate input: all vectors equal across every edge")
     return float(pi @ np.sum(vectors ** 2, axis=1)) / dirichlet
 

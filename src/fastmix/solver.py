@@ -1,70 +1,100 @@
-"""Numerical oracle for the fastest-mixing problem on small instances.
+"""Fastest-mixing chains by an interior-point method, with a certified dual.
 
-Minimizes the second eigenvalue over reversible chains supported on the
-graph by projected subgradient descent in the symmetric edge-flow variables
-Q(i,j) = pi(i)P(i,j): reversibility is then plain symmetry and the feasible
-set is the box {Q >= 0, node budgets sum_j Q(i,j) <= pi(i)}.  Every step
-ends with the exact Euclidean projection onto that box, computed from its
-n-dimensional dual by projected Newton.  A brute-force grid oracle over the
-same variables is provided for cross-checking on instances with very few
-edges.
+In the symmetric edge flows q_e = pi(i)P(i,j) the symmetrized chain is
+S = I - L(q), with L(q) = sum_e q_e a_e a_e^T and a_e = e_i/sqrt(pi_i) -
+e_j/sqrt(pi_j).  So 1 - lambda2 is the smallest eigenvalue gamma of L(q) on
+the complement of u = sqrt(pi), and the fastest chain solves the SDP
+
+    maximize gamma  s.t.  L(q) >= gamma I on u^perp,  q >= 0,
+                          node loads sum_{e at i} q_e <= pi_i
+
+(Boyd, Diaconis and Xiao, SIAM Rev. 46, 2004).  A log-barrier method solves
+it: Newton steps on (q, gamma) centre the barrier problem at a parameter t,
+and t then grows by BARRIER_GROWTH (Vandenberghe and Boyd, SIAM Rev. 38,
+1996).
+
+Every centre yields a certified pair:
+
+* the primal: its flows, saturated to a maximal point of the node budgets,
+  define a valid chain, whose relaxation time is read from LAPACK
+  eigenvalues;
+* the dual: the Lagrange dual of the SDP is the paper's embedding bound
+  (Sun, Boyd, Xiao and Diaconis, SIAM Rev. 48, 2006).  At the centre,
+  Z = M^{-1}/t and w = 1/(t s) are dual feasible, where M is the matrix of
+  the cone constraint and s holds the node slacks.  The Gram factor of Z
+  gives pi-centred vectors.  Off an exact centre w = 1/(t s) falls short on
+  some edges, so the slacks are refitted as the cheapest ones for those
+  vectors (a small LP), raised where rounding leaves an edge short, and
+  ``embedding_bound`` evaluates the resulting embedding.
+
+The solve stops once the certified gap (tau - lb)/tau is at most
+CERTIFIED_GAP, once it stops improving, or after ``max_iters`` Newton steps.
+A brute-force grid oracle over the same flow variables cross-checks
+instances with very few edges.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ReversibleChain, chain_from_flows, fit_to_budgets,
-                     max_degree_chain, saturate_flows, symmetric_walk,
-                     validate_chain)
-from .spectral import spectrum
+from .chains import (ReversibleChain, chain_from_flows, max_degree_chain,
+                     saturate_flows, validate_chain)
+from .lower_bounds import Embedding, embedding_bound
+# ``spectrum`` is the Jacobi cross-check of a solver result:
+# spectrum(result.chain) recomputes tau2_star independently of LAPACK
+from .spectral import spectrum, summarize, symmetrized  # noqa: F401
 
-DEGENERACY_TOL = 1e-12
+CERTIFIED_GAP = 1e-6      # stop once (tau - lb)/tau is this small
+BARRIER_GROWTH = 8.0      # factor on t from one centre to the next
+CENTERING_TOL = 1e-9      # Newton decrement^2 / 2 that ends a centring
+_BOUNDARY = 0.99          # fraction of the way to q = 0 or s = 0 a step may go
+_ARMIJO = 0.25            # sufficient-decrease fraction of the line search
+_MAX_HALVINGS = 60        # line-search step halvings before giving up
+_LP_GAP = 1e-12           # relative duality gap that ends the slack LP
+_LP_RIDGE = 1e-15         # relative ridge on the LP's normal equations
+_LP_MAX_STEPS = 100
 GRID_MAX_EDGES = 4
 GRID_MAX_RESOLUTION = 200
 GRID_MAX_POINTS = 20_000_000
 _EIG_CHUNK = 200_000
-PROJECTION_MAX_STEPS = 50   # Newton steps per projection; 1-3 are typical
-_ARMIJO = 1e-4              # sufficient-decrease fraction of the line search
-_MAX_HALVINGS = 50          # line-search step halvings before giving up
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 5000
-    step_constant: float = 0.1       # step at iteration t is c / sqrt(t)
-    projection_tol: float = 1e-10    # KKT residual of each flow projection
+    max_iters: int = 5000     # cap on Newton steps
 
     def __post_init__(self):
         if not (self.max_iters >= 1):
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
-        for name in ("step_constant", "projection_tol"):
-            value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SolverResult:
+    """The fastest chain found and the embedding that certifies it.
+
+    ``lower_bound`` is ``embedding_bound`` of ``embedding``, so
+    lower_bound <= optimal tau2 <= tau2_star, and ``certified_gap`` is
+    (tau2_star - lower_bound) / tau2_star.  ``history`` holds 1 - gamma of
+    the barrier iterate after each Newton step; ``iterations`` counts them.
+    """
+
     chain: ReversibleChain
     lambda2_star: float
     tau2_star: float
+    lower_bound: float
+    certified_gap: float
     iterations: int
-    certificate_gap: float
-    projection_steps: int            # Newton steps over every projection
-    projection_max_steps: int        # the most Newton steps one projection took
-    projection_capped: int           # projections stopped short of projection_tol
+    embedding: Embedding = field(repr=False)
     history: list = field(repr=False, default_factory=list)
 
     def to_json_dict(self):
         return {"lambda2_star": self.lambda2_star, "tau2_star": self.tau2_star,
-                "iterations": self.iterations, "certificate_gap": self.certificate_gap,
-                "projection_steps": self.projection_steps,
-                "projection_max_steps": self.projection_max_steps,
-                "projection_capped": self.projection_capped}
+                "lower_bound": self.lower_bound, "certified_gap": self.certified_gap,
+                "iterations": self.iterations}
 
 
 def _symmetrized_from_flows(q, pi, sqrt_pi, ei, ej, n):
@@ -85,217 +115,251 @@ def _symmetrized_from_flows(q, pi, sqrt_pi, ei, ej, n):
     return S
 
 
-def _second_pair(w, V):
-    """Second-largest eigenvalue and a deterministic eigenvector for it.
+class _Barrier:
+    """The barrier problem of the SDP at parameter t:
 
-    ``np.linalg.eigh`` sorts ascending; near-degenerate columns are broken
-    by the lexicographically largest absolute vector (any of them is a valid
-    subgradient generator).
-    """
-    lam2 = w[-2]
-    cand = [k for k in range(len(w) - 1) if abs(w[k] - lam2) <= DEGENERACY_TOL]
-    best = cand[0]
-    for k in cand[1:]:
-        a, b = np.abs(V[:, k]), np.abs(V[:, best])
-        for x, y in zip(a, b):
-            if x != y:
-                if x > y:
-                    best = k
-                break
-    return lam2, V[:, best]
+        minimize  -t gamma - log det N - sum_e log q_e - sum_i log s_i,
 
-
-class FlowProjector:
-    """Exact Euclidean projection onto the flow box, warm-started call to call.
-
-    The box {Q >= 0, sum_{e at i} Q_e <= pi_i} has the n-dimensional dual
-
-        min_{lam >= 0}  h(lam) = 1/2 |max(0, y - lam[ei] - lam[ej])|^2 + pi . lam,
-
-    whose gradient is pi minus the node loads of Q(lam) = max(0, y - lam[ei]
-    - lam[ej]); at the minimizer Q(lam) is the projection of y.  h is
-    minimized by projected Newton with an Armijo search along the projected
-    arc (Bertsekas, SIAM J. Control Optim. 20, 1982), starting from the
-    previous call's multipliers ``lam``:
-
-    * multipliers within ``tol`` of zero whose gradient is positive are held
-      at the bound with a diagonal step, and so are nodes without active
-      edges (Q_e > 0), whose multiplier is sent straight to zero;
-    * the other multipliers take the Newton step of the reduced Hessian, the
-      signless Laplacian of the active edges, ridged by min(1, residual) so
-      that bipartite active components, where it is singular, still give a
-      step.
-
-    A call ends once the projected-gradient residual
-    max |lam - max(0, lam - grad)| is at most ``tol``: node loads then
-    exceed pi by at most ``tol``.  ``steps``, ``max_steps`` and ``capped``
-    count the Newton steps, the most in one call, and the calls that
-    stopped short of ``tol`` (step cap or stalled line search).
+    where s = pi - loads(q) and N = L(q) - gamma (I - u u^T) + u u^T equals M
+    on u^perp and keeps u as an eigenvector of eigenvalue 1.  With
+    X = N^{-1} the derivatives are those of Vandenberghe and Boyd: the
+    log-det part has gradient -a_e^T X a_e in q_e and tr X - 1 in gamma, and
+    Hessian (a_e^T X a_f)^2, -|X a_e|^2 and tr X^2 - 1.
     """
 
-    def __init__(self, graph, tol):
-        self.pi, self.tol, self.n = graph.pi, tol, graph.n
-        self.ei = ei = np.array([e[0] for e in graph.edges])
-        self.ej = ej = np.array([e[1] for e in graph.edges])
-        n = graph.n
-        self.lam = np.zeros(n)
-        # flat positions of each edge's four Hessian entries, and their edges
-        self._hessian_index = np.concatenate([ei * n + ej, ej * n + ei,
-                                              ei * (n + 1), ej * (n + 1)])
-        self._hessian_edge = np.tile(np.arange(len(ei)), 4)
-        self.steps = 0
-        self.max_steps = 0
-        self.capped = 0
+    def __init__(self, graph):
+        n, m = graph.n, len(graph.edges)
+        self.graph, self.n, self.pi = graph, n, graph.pi
+        self.ei = np.array([e[0] for e in graph.edges])
+        self.ej = np.array([e[1] for e in graph.edges])
+        self.root = np.sqrt(self.pi)
+        self.inv_root = 1.0 / self.root
+        self.uu = np.outer(self.root, self.root)
+        # the load barrier's Hessian adds 1/s_k^2 at (e, f) for every pair of
+        # edges meeting at node k: their flat positions in the (m+1)^2
+        # Hessian, and k
+        stars = [np.nonzero((self.ei == k) | (self.ej == k))[0] for k in range(n)]
+        self._star_index = np.concatenate([(e[:, None] * (m + 1) + e[None, :]).ravel()
+                                           for e in stars])
+        self._star_node = np.repeat(np.arange(n), [len(e) ** 2 for e in stars])
 
-    def _flows(self, y, lam):
-        q = np.maximum(y - lam[self.ei] - lam[self.ej], 0.0)
-        load = (np.bincount(self.ei, weights=q, minlength=self.n)
+    def loads(self, q):
+        return (np.bincount(self.ei, weights=q, minlength=self.n)
                 + np.bincount(self.ej, weights=q, minlength=self.n))
-        return q, self.pi - load
 
-    def __call__(self, y):
-        n = self.n
-        lam = self.lam
-        q, grad = self._flows(y, lam)
-        steps = 0
-        while True:
-            resid = float(np.abs(lam - np.maximum(lam - grad, 0.0)).max())
-            if resid <= self.tol:
-                break
-            if steps == PROJECTION_MAX_STEPS:
-                self.capped += 1
-                break
-            steps += 1
-            active = (q > 0.0).astype(float)
-            degree = (np.bincount(self.ei, weights=active, minlength=n)
-                      + np.bincount(self.ej, weights=active, minlength=n))
-            ridge = min(1.0, resid)
-            isolated = degree == 0.0
-            held = isolated | ((lam <= self.tol) & (grad > 0.0))
-            direction = np.where(isolated, lam, grad / (degree + ridge))
-            free = np.nonzero(~held)[0]
-            if free.size:
-                H = np.bincount(self._hessian_index, weights=active[self._hessian_edge],
-                                minlength=n * n).reshape(n, n)
-                H.flat[::n + 1] += ridge
-                direction[free] = np.linalg.solve(H[free[:, None], free], grad[free])
-            slope = float(grad[free] @ direction[free])
+    def slacks(self, q):
+        return self.pi - self.loads(q)
 
-            alpha = 1.0
-            for _ in range(_MAX_HALVINGS):
-                trial = np.maximum(lam - alpha * direction, 0.0)
-                q_trial, grad_trial = self._flows(y, trial)
-                shift = lam - trial
-                # h(lam) - h(trial) as a sum of differences: on edges active
-                # at both points q - q_trial is the multiplier shift itself,
-                # which keeps the sum exact near the optimum, where the two
-                # values of h agree to rounding
-                both = (q > 0.0) & (q_trial > 0.0)
-                change = np.where(both, -(shift[self.ei] + shift[self.ej]), q - q_trial)
-                decrease = 0.5 * float(change @ (q + q_trial)) + float(self.pi @ shift)
-                expected = alpha * slope + float(grad[held] @ shift[held])
-                if decrease >= _ARMIJO * expected:
-                    break
-                alpha *= 0.5
-            else:
-                self.capped += 1
-                break
-            lam, q, grad = trial, q_trial, grad_trial
-        self.lam = lam
-        self.steps += steps
-        self.max_steps = max(self.max_steps, steps)
-        return q
+    def factor(self, q, gamma):
+        """Cholesky factor of N, or None outside the cone."""
+        S = _symmetrized_from_flows(q, self.pi, self.root, self.ei, self.ej, self.n)
+        N = (1.0 - gamma) * np.eye(self.n) - S + (1.0 + gamma) * self.uu
+        try:
+            return np.linalg.cholesky(N)
+        except np.linalg.LinAlgError:
+            return None
+
+    def newton(self, q, gamma, t, chol):
+        """Gradient and Newton step of the barrier objective at (q, gamma)."""
+        ei, ej, inv_root = self.ei, self.ej, self.inv_root
+        m = len(q)
+        R = np.linalg.inv(chol)
+        X = R.T @ R
+        Y = X[:, ei] * inv_root[ei]
+        Y -= X[:, ej] * inv_root[ej]                      # column e: X a_e
+        G = Y[ei] * inv_root[ei, None]
+        G -= Y[ej] * inv_root[ej, None]                   # a_e^T X a_f
+        inv_s = 1.0 / self.slacks(q)
+        grad = np.empty(m + 1)
+        grad[:m] = inv_s[ei] + inv_s[ej] - np.diag(G) - 1.0 / q
+        grad[m] = np.trace(X) - 1.0 - t
+        H = np.empty((m + 1, m + 1))
+        np.multiply(G, G, out=H[:m, :m])
+        del G                    # freed before the solve copies H: peak memory
+        np.add.at(H.reshape(-1), self._star_index, inv_s[self._star_node] ** 2)
+        H[np.arange(m), np.arange(m)] += 1.0 / q ** 2
+        H[:m, m] = H[m, :m] = -np.einsum("ke,ke->e", Y, Y)
+        H[m, m] = np.einsum("ij,ij->", X, X) - 1.0
+        # Jacobi scaling keeps the solve accurate as M nears singularity
+        scale = 1.0 / np.sqrt(np.diag(H))
+        H *= scale[:, None]
+        H *= scale[None, :]
+        return grad, scale * np.linalg.solve(H, -grad * scale)
+
+    def line_search(self, q, gamma, t, chol, grad, step):
+        """Backtracking step along ``step``; None when no step decreases enough.
+
+        The objective's change is summed from per-term differences, which
+        stay accurate where the objective itself is dominated by t gamma.
+        """
+        m = len(q)
+        dq, dgamma = step[:m], step[m]
+        s = self.slacks(q)
+        ds = -self.loads(dq)
+        alpha = 1.0
+        for x, dx in ((q, dq), (s, ds)):
+            shrinking = dx < 0.0
+            if shrinking.any():
+                alpha = min(alpha, _BOUNDARY * float(np.min(-x[shrinking] / dx[shrinking])))
+        slope = float(grad @ step)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        for _ in range(_MAX_HALVINGS):
+            trial_q, trial_gamma = q + alpha * dq, gamma + alpha * dgamma
+            trial = self.factor(trial_q, trial_gamma)
+            if trial is not None:
+                change = (-t * alpha * dgamma
+                          - (2.0 * np.sum(np.log(np.diag(trial))) - logdet)
+                          - np.sum(np.log1p(alpha * dq / q))
+                          - np.sum(np.log1p(alpha * ds / s)))
+                if change <= _ARMIJO * alpha * slope:
+                    return trial_q, trial_gamma, trial
+            alpha *= 0.5
+        return None
+
+    def embedding(self, chol):
+        """The dual point of the barrier iterate as a feasible embedding.
+
+        With N = C C^T and R = C^{-1}, the vectors R[:, i]/sqrt(pi_i),
+        pi-centred, have the Gram form of t Z, and their squared edge lengths
+        are a_e^T X a_e.  The slacks are the cheapest ones for these vectors
+        (:func:`_cover_slacks`), raised where rounding leaves an edge short,
+        and the embedding is scaled to sum pi w = 1.
+        """
+        ei, ej = self.ei, self.ej
+        psi = np.linalg.inv(chol).T * self.inv_root[:, None]
+        psi -= self.pi @ psi
+        d2 = np.sum((psi[ei] - psi[ej]) ** 2, axis=1)
+        w = _cover_slacks(self.pi, ei, ej, d2)
+        short = np.maximum(d2 - w[ei] - w[ej], 0.0)
+        raise_by = np.zeros(self.n)
+        np.maximum.at(raise_by, ei, short)
+        np.maximum.at(raise_by, ej, short)
+        w += raise_by
+        total = float(self.pi @ w)
+        return Embedding(psi / math.sqrt(total), w / total)
 
 
-def _candidate_flows(graph, best_q):
-    """Deterministic finishers that replace the best descent iterate.
+def _cover_slacks(pi, ei, ej, lengths):
+    """Slacks w >= 0 minimizing pi.w subject to w_i + w_j >= lengths_e.
 
-    lambda2 is non-increasing in every flow (each Rayleigh quotient is
-    linear with a nonpositive flow coefficient), so the saturated iterate
-    stands in for the raw one; the symmetric walk and the
-    congestion-equalized chain catch the symmetric instances where those
-    are exactly optimal.
+    A weighted fractional vertex cover LP, solved by a primal-dual
+    path-following method with Mehrotra's predictor-corrector steps from a
+    strictly feasible start.  Its dual is max lengths.x over flows x >= 0
+    with node loads at most pi.  Each step solves the n x n normal
+    equations of the cover variables.
     """
-    from .upper_bounds import equalize_congestion, shortest_path_system
+    n, m = len(pi), len(lengths)
+    scale = float(lengths.max())
+    c = lengths / scale
+    degree = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
+    w = np.ones(n)
+    z = 2.0 - c                                   # w_i + w_j - c_e
+    x = np.full(m, 0.5 * float(pi.min()) / float(degree.max()))
+    v = pi - np.bincount(ei, x, n) - np.bincount(ej, x, n)
+    diag = np.arange(n)
 
-    candidates = [saturate_flows(graph, best_q)]
-    degrees = {graph.degree(i) for i in range(graph.n)}
-    if graph.uniform_pi() and len(degrees) == 1:
-        walk = symmetric_walk(graph)
-        candidates.append(walk.flows()[[e[0] for e in graph.edges],
-                                       [e[1] for e in graph.edges]])
-    equalized = equalize_congestion(graph, shortest_path_system(graph))
-    candidates.append(equalized.flows()[[e[0] for e in graph.edges],
-                                        [e[1] for e in graph.edges]])
-    return candidates
+    def edge_sum(values):
+        return np.bincount(ei, values, n) + np.bincount(ej, values, n)
+
+    def direction(target_zx, target_wv, r_p, r_d):
+        ratio = x / z
+        K = np.zeros((n, n))
+        np.add.at(K, (ei, ej), ratio)
+        K += K.T
+        K[diag, diag] = edge_sum(ratio) + v / w
+        # a relative ridge keeps K invertible where the LP is degenerate
+        K[diag, diag] += _LP_RIDGE * K[diag, diag].max()
+        rhs = edge_sum(ratio * r_p + target_zx / z) + target_wv / w - r_d
+        dw = np.linalg.solve(K, rhs)
+        dx = ratio * (r_p - dw[ei] - dw[ej]) + target_zx / z
+        return dw, (target_zx - z * dx) / x, dx, (target_wv - v * dw) / w
+
+    def longest(values, steps):
+        shrinking = steps < 0.0
+        if not shrinking.any():
+            return 1.0
+        return min(1.0, 0.995 * float(np.min(-values[shrinking] / steps[shrinking])))
+
+    for _ in range(_LP_MAX_STEPS):
+        gap = float(z @ x + w @ v)
+        if gap <= _LP_GAP * float(pi @ w):
+            break
+        mu = gap / (n + m)
+        r_p = c - w[ei] - w[ej] + z
+        r_d = pi - edge_sum(x) - v
+        dw, dz, dx, dv = direction(-z * x, -w * v, r_p, r_d)
+        a_p = min(longest(w, dw), longest(z, dz))
+        a_d = min(longest(x, dx), longest(v, dv))
+        affine = float((z + a_p * dz) @ (x + a_d * dx) + (w + a_p * dw) @ (v + a_d * dv))
+        sigma = (affine / gap) ** 3
+        dw, dz, dx, dv = direction(sigma * mu - z * x - dz * dx,
+                                   sigma * mu - w * v - dw * dv, r_p, r_d)
+        a_p = min(longest(w, dw), longest(z, dz))
+        a_d = min(longest(x, dx), longest(v, dv))
+        step = (w + a_p * dw, z + a_p * dz, x + a_d * dx, v + a_d * dv)
+        if not all(np.all(np.isfinite(part)) for part in step):
+            break
+        w, z, x, v = step
+    return w * scale
+
+
+def _certify(barrier, q, chol):
+    """Saturated primal chain and dual embedding of the barrier iterate."""
+    graph = barrier.graph
+    chain = chain_from_flows(graph, saturate_flows(graph, q))
+    report = validate_chain(chain)
+    if report:
+        raise RuntimeError("solver produced an infeasible chain: " + report[0])
+    summary = summarize(np.linalg.eigvalsh(symmetrized(chain))[::-1])
+    tau = summary.relaxation_time
+    embedding = barrier.embedding(chol)
+    lower = embedding_bound(graph, embedding)
+    return SolverResult(chain=chain, lambda2_star=summary.lambda2, tau2_star=tau,
+                        lower_bound=lower, certified_gap=(tau - lower) / tau,
+                        iterations=0, embedding=embedding)
 
 
 def solve_fastest_mixing(graph, config=None):
-    """Minimize lambda2 by projected subgradient descent on the flow box.
+    """The fastest chain on ``graph`` and an embedding certifying it.
 
-    The subgradient at Q comes from the second eigenvector u of the
-    symmetrized matrix: d lambda2 / d Q(i,j) = -(u_i/sqrt(pi_i) -
-    u_j/sqrt(pi_j))^2, so the descent step raises flow where that squared
-    mismatch is largest, normalized to unit length, with step c/sqrt(t),
-    and is followed by the exact Euclidean projection back onto the flow
-    box (:class:`FlowProjector`).
-    The best iterate is kept, then a few deterministic closed-form
-    candidates are compared (its saturated version, the symmetric walk when
-    it is reversible, the congestion-equalized chain), and the winner is
-    returned as a feasible, validated chain.
+    Starts from half the max-degree chain's flows and gamma = 0, where
+    L(q) + u u^T is positive definite because the graph is connected.
     """
     config = config or SolverConfig()
     n = graph.n
     if n < 2:
         raise ValueError("need at least two states")
-    pi = graph.pi
-    sqrt_pi = np.sqrt(pi)
-    project = FlowProjector(graph, config.projection_tol)
-    ei, ej = project.ei, project.ej
+    barrier = _Barrier(graph)
+    ei, ej = barrier.ei, barrier.ej
+    q = 0.5 * max_degree_chain(graph).flows()[ei, ej]
+    gamma = 0.0
+    chol = barrier.factor(q, gamma)
+    # nu barrier terms bound the gap at a centre by nu/t; start where that
+    # bound is the mean eigenvalue of L(q) on u^perp, tr L(q)/(n-1)
+    nu = len(q) + 2 * n - 1
+    t = nu * (n - 1) / float(np.sum(q / graph.pi[ei] + q / graph.pi[ej]))
 
-    q = max_degree_chain(graph).flows()[ei, ej].copy()
-
-    best_lambda = math.inf
-    best_q = q.copy()
-    last_lambda = math.nan
     history = []
-    iterations = 0
-    for t in range(1, config.max_iters + 1):
-        iterations = t
-        S = _symmetrized_from_flows(q, pi, sqrt_pi, ei, ej, n)
-        w, V = np.linalg.eigh(S)
-        lam2, u = _second_pair(w, V)
-        last_lambda = lam2
-        if lam2 < best_lambda:
-            best_lambda = lam2
-            best_q = q.copy()
-        history.append(best_lambda)
-
-        direction = (u[ei] / sqrt_pi[ei] - u[ej] / sqrt_pi[ej]) ** 2
-        norm = np.linalg.norm(direction)
-        if norm <= 1e-15:
+    best = None
+    while True:
+        # centre at t; the solve's first Newton step is never skipped
+        while len(history) < config.max_iters:
+            grad, step = barrier.newton(q, gamma, t, chol)
+            if history and -float(grad @ step) <= 2.0 * CENTERING_TOL:
+                break
+            moved = barrier.line_search(q, gamma, t, chol, grad, step)
+            if moved is None:       # rounding has stalled the line search
+                break
+            q, gamma, chol = moved
+            history.append(1.0 - gamma)
+        certified = _certify(barrier, q, chol)
+        if best is not None and not (certified.certified_gap < best.certified_gap):
             break
-        q = project(q + (config.step_constant / math.sqrt(t)) * direction / norm)
-
-    candidates = _candidate_flows(graph, fit_to_budgets(graph, best_q))
-    finals = [np.linalg.eigvalsh(_symmetrized_from_flows(c, pi, sqrt_pi, ei, ej, n))[-2]
-              for c in candidates]
-    winner = candidates[int(np.argmin(finals))]
-
-    chain = chain_from_flows(graph, winner)
-    report = validate_chain(chain)
-    if report:
-        raise RuntimeError("solver produced an infeasible chain: " + report[0])
-    summary = spectrum(chain)
-    return SolverResult(chain=chain,
-                        lambda2_star=summary.lambda2,
-                        tau2_star=summary.relaxation_time,
-                        iterations=iterations,
-                        certificate_gap=abs(best_lambda - last_lambda),
-                        projection_steps=project.steps,
-                        projection_max_steps=project.max_steps,
-                        projection_capped=project.capped,
-                        history=history)
+        best = certified
+        if best.certified_gap <= CERTIFIED_GAP or len(history) >= config.max_iters:
+            break
+        t *= BARRIER_GROWTH
+    return dataclasses.replace(best, iterations=len(history), history=history)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ the most loaded node star.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,88 +22,138 @@ from .lower_bounds import vertex_expansion
 class PathSystem:
     """One simple path per unordered node pair, stored from the smaller endpoint.
 
-    ``path(x, y)`` returns the node sequence oriented x -> y, so the (y, x)
-    query is the exact reversal of the (x, y) one.
+    ``paths`` maps node pairs to node sequences.  They are kept in two flat
+    integer arrays: ``nodes`` concatenates the paths, pair (x, y) with x < y
+    in lexicographic order, and the k-th pair's path is
+    ``nodes[offsets[k]:offsets[k + 1]]``.  ``path(x, y)`` returns the node
+    sequence oriented x -> y, so the (y, x) query is the exact reversal of
+    the (x, y) one.
     """
 
     def __init__(self, graph, paths):
-        self.graph = graph
-        self._paths = {}
+        by_pair = {}
         for (x, y), nodes in paths.items():
             x, y = int(x), int(y)
             if x == y:
                 raise ValueError("paths connect distinct nodes")
             key = (min(x, y), max(x, y))
             nodes = tuple(int(v) for v in nodes)
-            if nodes[0] == key[1]:
+            if nodes and nodes[0] == key[1]:
                 nodes = nodes[::-1]
-            if nodes[0] != key[0] or nodes[-1] != key[1]:
+            if not nodes or nodes[0] != key[0] or nodes[-1] != key[1]:
                 raise ValueError(f"path for {key} does not connect its endpoints")
             if len(set(nodes)) != len(nodes):
                 raise ValueError(f"path for {key} repeats a node")
             for a, b in zip(nodes, nodes[1:]):
                 if not graph.has_edge(a, b):
                     raise ValueError(f"path for {key} uses non-edge ({a},{b})")
-            self._paths[key] = nodes
-        expected = graph.n * (graph.n - 1) // 2
-        if len(self._paths) != expected:
-            raise ValueError(f"need a path for all {expected} pairs, got {len(self._paths)}")
+            by_pair[key] = nodes
+        n = graph.n
+        expected = n * (n - 1) // 2
+        if len(by_pair) != expected:
+            raise ValueError(f"need a path for all {expected} pairs, got {len(by_pair)}")
+        ordered = [by_pair[(x, y)] for x in range(n) for y in range(x + 1, n)]
+        self._adopt(graph, np.array([v for nodes in ordered for v in nodes], dtype=np.int32),
+                    np.cumsum([0] + [len(nodes) for nodes in ordered]))
+
+    @classmethod
+    def _from_flat(cls, graph, nodes, offsets):
+        """Adopt flat arrays that are valid by construction."""
+        system = cls.__new__(cls)
+        system._adopt(graph, nodes, offsets)
+        return system
+
+    def _adopt(self, graph, nodes, offsets):
+        nodes.flags.writeable = False
+        offsets.flags.writeable = False
+        self.graph, self.nodes, self.offsets = graph, nodes, offsets
 
     def path(self, x, y):
-        nodes = self._paths[(min(x, y), max(x, y))]
+        a, b = min(x, y), max(x, y)
+        k = a * self.graph.n - a * (a + 1) // 2 + (b - a - 1)
+        nodes = tuple(int(v) for v in self.nodes[self.offsets[k]:self.offsets[k + 1]])
         return nodes if x <= y else nodes[::-1]
 
     def pairs(self):
-        return self._paths.items()
+        """((x, y), nodes) for every pair x < y, in lexicographic order."""
+        n = self.graph.n
+        for x in range(n):
+            for y in range(x + 1, n):
+                yield (x, y), self.path(x, y)
 
 
-def _bfs_distances(graph, source):
-    dist = [-1] * graph.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def _distances(graph):
+    """All-pairs hop distances by breadth-first frontiers of the adjacency matrix."""
+    n = graph.n
+    adjacency = np.zeros((n, n))
+    for i, j in graph.edges:
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    dist = np.where(np.eye(n, dtype=bool), 0, -1)
+    frontier = np.eye(n)
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = ((frontier @ adjacency > 0) & (dist < 0)).astype(float)
+        dist[frontier > 0] = level
     return dist
 
 
 def shortest_path_system(graph):
     """BFS shortest paths; ties resolved to the lexicographically smallest
-    node sequence as seen from the smaller endpoint."""
-    dist = [_bfs_distances(graph, s) for s in range(graph.n)]
-    paths = {}
-    for x in range(graph.n):
-        for y in range(x + 1, graph.n):
-            nodes = [x]
-            cur = x
-            while cur != y:
-                # neighbors are sorted, so the first admissible step is the
-                # lexicographic choice
-                for v in graph.neighbors(cur):
-                    if dist[x][v] == dist[x][cur] + 1 and \
-                            dist[v][y] == dist[x][y] - dist[x][cur] - 1:
-                        nodes.append(v)
-                        cur = v
-                        break
-                else:
-                    raise RuntimeError("BFS walk stalled; graph data inconsistent")
-            paths[(x, y)] = tuple(nodes)
-    return PathSystem(graph, paths)
+    node sequence as seen from the smaller endpoint.
+
+    All pairs walk from x towards y at once: each step moves to the
+    smallest neighbor one hop further from x and one hop closer to y.
+    """
+    n = graph.n
+    dist = _distances(graph)
+    first, second = np.triu_indices(n, 1)
+    length = dist[first, second]
+    degree = max((graph.degree(i) for i in range(n)), default=0)
+    # neighbors are sorted, so the first admissible column is the
+    # lexicographic choice; padding columns are never admissible
+    neighbors = np.zeros((n, max(degree, 1)), dtype=np.int64)
+    real = np.zeros((n, max(degree, 1)), dtype=bool)
+    for i in range(n):
+        row = graph.neighbors(i)
+        neighbors[i, :len(row)] = row
+        real[i, :len(row)] = True
+    longest = int(length.max()) if length.size else 0
+    walk = np.zeros((len(first), longest + 1), dtype=np.int32)
+    walk[:, 0] = first
+    for step in range(longest):
+        moving = np.nonzero(length > step)[0]
+        here, x, y = walk[moving, step], first[moving], second[moving]
+        cand = neighbors[here]
+        ok = (real[here] & (dist[x[:, None], cand] == step + 1)
+              & (dist[cand, y[:, None]] == (length[moving] - step - 1)[:, None]))
+        if not ok.any(axis=1).all():
+            raise RuntimeError("BFS walk stalled; graph data inconsistent")
+        walk[moving, step + 1] = cand[np.arange(len(moving)), np.argmax(ok, axis=1)]
+    on_path = np.arange(longest + 1)[None, :] <= length[:, None]
+    offsets = np.concatenate([[0], np.cumsum(length + 1)])
+    return PathSystem._from_flat(graph, walk[on_path], offsets)
 
 
 def path_loads(graph, paths):
-    """W(e) = sum over paths through e of pi(x) pi(y) |path|, per edge."""
-    pi = graph.pi
-    W = np.zeros(len(graph.edges))
-    index = graph.edge_index
-    for (x, y), nodes in paths.pairs():
-        weight = pi[x] * pi[y] * (len(nodes) - 1)
-        for a, b in zip(nodes, nodes[1:]):
-            W[index[(min(a, b), max(a, b))]] += weight
-    return W
+    """W(e) = sum over paths through e of pi(x) pi(y) |path|, per edge.
+
+    Contributions are summed per edge in pair order, then hop order.
+    """
+    pi, n, m = graph.pi, graph.n, len(graph.edges)
+    nodes, offsets = paths.nodes, paths.offsets
+    first, second = np.triu_indices(n, 1)
+    hops = np.diff(offsets) - 1
+    # consecutive positions of ``nodes`` form a hop, except where one path
+    # ends and the next begins: those steps weigh 0, and land in the spare
+    # bin m when they are no edge
+    edge_id = np.full((n, n), m)
+    for k, (i, j) in enumerate(graph.edges):
+        edge_id[i, j] = edge_id[j, i] = k
+    weight = np.repeat(pi[first] * pi[second] * hops, hops + 1)[:-1]
+    weight[offsets[1:-1] - 1] = 0.0
+    return np.bincount(edge_id[nodes[:-1], nodes[1:]], weights=weight,
+                       minlength=m + 1)[:m]
 
 
 @dataclass(frozen=True)
@@ -123,14 +172,15 @@ class CongestionReport:
                 "argmax_edge": list(self.argmax_edge)}
 
 
-def congestion(chain, paths):
+def congestion(chain, paths, loads=None):
     """Canonical-paths congestion of a chain: tau2(chain) <= rho_bar.
 
     An edge carrying load but zero flow makes the bound vacuous; it is
-    reported as +inf with the offending edge as argmax.
+    reported as +inf with the offending edge as argmax.  ``loads`` are the
+    path loads W when the caller already has them.
     """
     graph = chain.graph
-    W = path_loads(graph, paths)
+    W = path_loads(graph, paths) if loads is None else loads
     loads, ratios = {}, {}
     rho_bar, argmax = 0.0, None
     for k, (i, j) in enumerate(graph.edges):
@@ -149,7 +199,7 @@ def congestion(chain, paths):
                             rho_bar=rho_bar, argmax_edge=argmax)
 
 
-def equalize_congestion(graph, paths):
+def equalize_congestion(graph, paths, loads=None):
     """Flows minimizing the congestion of a fixed path system.
 
     Ratios W(e)/Q(e) <= rho are jointly feasible iff every node star fits its
@@ -157,9 +207,10 @@ def equalize_congestion(graph, paths):
     base flows W(e)/rho*.  The most loaded star then sits exactly at rho*;
     leftover node budgets are spent by symmetric proportional padding (which
     can only lower the other ratios) and any remaining mass stays on the
-    self-loops.
+    self-loops.  ``loads`` are the path loads W when the caller already has
+    them.
     """
-    W = path_loads(graph, paths)
+    W = path_loads(graph, paths) if loads is None else loads
     stars = [graph.incident_edges(i) for i in range(graph.n)]
     rho_star = max(W[stars[i]].sum() / graph.pi[i] for i in range(graph.n))
     return chain_from_flows(graph, saturate_flows(graph, W / rho_star))

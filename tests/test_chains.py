@@ -76,6 +76,20 @@ class TestValidateChain:
         report = validate_chain(chain)
         assert any("detailed balance" in msg for msg in report)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_reported(self, bad):
+        graph = TransitionGraph(2, [(0, 1)])
+        assert validate_chain(ReversibleChain(graph, np.full((2, 2), bad))) != []
+        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, bad]])
+        assert any("row 1" in msg for msg in validate_chain(chain))
+
+    def test_nan_off_edge_entry_reported(self):
+        graph = TransitionGraph(3, [(0, 1), (1, 2)])
+        P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        P[0, 2] = float("nan")
+        report = validate_chain(ReversibleChain(graph, P))
+        assert any("non-edge (0,2)" in msg for msg in report)
+
     def test_equalized_linked_cliques_chain_valid(self):
         graph = knkn_graph(3)
         chain = equalize_congestion(graph, shortest_path_system(graph))

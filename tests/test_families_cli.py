@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from fastmix import cli, experiments, families
 from fastmix.chains import TransitionGraph
 from fastmix.solver import SolverConfig
+from helpers import random_connected_graph
 
 
 class TestGenerators:
@@ -141,6 +144,48 @@ class TestExperiments:
         with pytest.raises(experiments.BoundInversionError, match="majority-cut"):
             experiments.run_experiment(spec)
 
+    def test_custom_row_carries_the_dual_bound(self, tmp_path):
+        path = tmp_path / "g.json"
+        random_connected_graph(np.random.default_rng(8), 10).save(path)
+        row = experiments.run_experiment(
+            experiments.ExperimentSpec(family="custom", params={"path": str(path)}))
+        assert row["lb_embed"] is not None
+        assert row["lb_expansion"] <= row["lb_embed"] <= row["tau2_solver"]
+        gap = (row["tau2_solver"] - row["lb_embed"]) / row["tau2_solver"]
+        assert row["certified_gap"] == pytest.approx(gap, rel=1e-12)
+        assert row["certified_gap"] <= 1e-4
+
+    def test_row_keeps_the_larger_closed_form_bound(self):
+        row = experiments.run_experiment(
+            experiments.ExperimentSpec(family="geometric", params={"m": 6, "k": 2}))
+        # the geometric closed form is 2/3; the optimum, and the dual, is 1
+        assert row["lb_embed"] == pytest.approx(1.0, rel=1e-5)
+        row = experiments.run_experiment(
+            experiments.ExperimentSpec(family="torus", params={"m": 5, "d": 2}))
+        closed = 1 / math.sin(math.pi / 5) ** 2
+        assert row["lb_embed"] == pytest.approx(closed, rel=1e-12)
+        assert row["lb_embed"] >= closed
+        assert row["tau2_solver"] == pytest.approx(closed, rel=1e-9)
+
+    def test_graph_row_computes_loads_once(self, monkeypatch):
+        from fastmix import upper_bounds
+        calls = []
+        original = upper_bounds.path_loads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(upper_bounds, "path_loads", counted)
+        row = experiments.run_experiment(
+            experiments.ExperimentSpec(family="knkn", params={"n": 4}))
+        assert len(calls) == 1
+        graph = families.knkn_graph(4)
+        paths = upper_bounds.shortest_path_system(graph)
+        alone = upper_bounds.congestion(upper_bounds.equalize_congestion(graph, paths),
+                                        paths).rho_bar
+        assert row["ub_congestion"] == alone
+
     def test_write_rows_csv(self, tmp_path):
         spec = experiments.ExperimentSpec(
             family="cycle", params={"n": 4}, solver=SolverConfig(max_iters=1000))
@@ -148,8 +193,11 @@ class TestExperiments:
         out = tmp_path / "rows.csv"
         experiments.write_rows(rows, out, fmt="csv")
         text = out.read_text().splitlines()
-        assert text[0].startswith("family,params,lb_embed")
+        assert text[0] == ",".join(experiments.GRAPH_COLUMNS)
         assert len(text) == 2
+        # the JSON row also carries certified_gap; the CSV columns do not
+        assert "certified_gap" in rows[0]
+        assert len(next(csv.reader([text[1]]))) == len(experiments.GRAPH_COLUMNS)
 
 
 class TestCli:
@@ -187,15 +235,62 @@ class TestCli:
         assert cli.main(["solve", str(gpath), "--iters", "500"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau2_star"] == pytest.approx(1.0, abs=1e-3)
-        assert payload["projection_steps"] >= payload["projection_max_steps"] >= 1
-        assert payload["projection_capped"] == 0
+        assert payload["lower_bound"] <= payload["tau2_star"]
+        assert 0.0 <= payload["certified_gap"] <= 1e-4
+        assert 1 <= payload["iterations"] <= 500
 
-    @pytest.mark.parametrize("step", ["nan", "inf", "-0.1"])
-    def test_solve_rejects_bad_step(self, tmp_path, capsys, step):
+    def test_solve_iters_caps_newton_steps(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        families.cycle_graph(6).save(gpath)
+        assert cli.main(["solve", str(gpath), "--iters", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["iterations"] <= 3
+        assert payload["lower_bound"] <= payload["tau2_star"]
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_solve_rejects_bad_iters(self, tmp_path, capsys, iters):
         gpath = tmp_path / "g.json"
         families.cycle_graph(4).save(gpath)
-        assert cli.main(["solve", str(gpath), f"--step={step}"]) == cli.EXIT_VALIDATION
-        assert "step_constant" in capsys.readouterr().err
+        assert cli.main(["solve", str(gpath), f"--iters={iters}"]) == cli.EXIT_VALIDATION
+        assert "max_iters" in capsys.readouterr().err
+
+    def test_lower_rejects_nan_embedding(self, tmp_path, capsys):
+        gpath = tmp_path / "c4.json"
+        families.cycle_graph(4).save(gpath)
+        epath = tmp_path / "nan.json"
+        epath.write_text('{"d": 1, "psi": [[NaN], [NaN], [NaN], [NaN]], '
+                         '"w": [NaN, NaN, NaN, NaN]}')
+        assert cli.main(["lower", str(gpath), "--embedding", str(epath)]) == \
+            cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
+
+    def test_spectral_rejects_nan_chain(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        families.cycle_graph(4).save(gpath)
+        cpath = tmp_path / "nan.csv"
+        cpath.write_text("\n".join(",".join(["nan"] * 4) for _ in range(4)) + "\n")
+        assert cli.main(["spectral", str(gpath), "--chain", str(cpath)]) == \
+            cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and captured.out == ""
+
+    def test_upper_computes_loads_once(self, tmp_path, capsys, monkeypatch):
+        from fastmix import upper_bounds
+        calls = []
+        original = upper_bounds.path_loads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(upper_bounds, "path_loads", counted)
+        gpath = tmp_path / "g.json"
+        families.knkn_graph(4).save(gpath)
+        assert cli.main(["upper", str(gpath)]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["rho_bar"] == pytest.approx(
+            3 * 4 * (1 - 5 / (6 * 4)))
 
     def test_spectral_with_chain(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
@@ -221,6 +316,10 @@ class TestCli:
                          "--iters", "1500", "--out", str(out), "--format", "csv"])
         assert code == 0
         assert out.read_text().startswith("family,")
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        assert printed[0].split(",")[0] == "cycle"
+        assert len(printed[0].split(",")) == len(experiments.GRAPH_COLUMNS)
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -53,6 +53,37 @@ class TestEmbeddingBound:
             embedding_bound(graph, emb)
 
 
+class TestNonFiniteEmbeddings:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_embedding_rejects_non_finite_vectors(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Embedding(np.array([bad, 0.5]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_embedding_rejects_non_finite_slacks(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Embedding(np.array([-0.5, 0.5]), np.array([1.0, bad]))
+
+    def test_all_nan_json_is_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"d": 1, "psi": [[NaN], [NaN]], "w": [NaN, NaN]}')
+        with pytest.raises(ValueError, match="finite"):
+            Embedding.load(path)
+
+    def test_overflowing_edge_length_is_a_violation(self):
+        # finite vectors whose squared distance overflows to inf
+        graph = TransitionGraph(2, [(0, 1)])
+        emb = Embedding(np.array([-1e200, 1e200]), np.ones(2))
+        assert any("edge (0,1)" in v for v in embedding_violations(graph, emb))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_specified_chain_bound_rejects_non_finite_vectors(self, bad):
+        graph = TransitionGraph(2, [(0, 1)])
+        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            specified_chain_bound(chain, [bad, -1.0])
+
+
 class TestSpecifiedChainBound:
     def test_flip_chain(self):
         graph = TransitionGraph(2, [(0, 1)])
@@ -200,7 +231,7 @@ class TestSandwich:
             (complete_graph(4), None),
             (cycle_graph(10), make_cycle_embedding(10)),
         ]
-        config = SolverConfig(max_iters=3000, step_constant=0.05)
+        config = SolverConfig(max_iters=3000)
         for graph, emb in cases:
             tau2 = solve_fastest_mixing(graph, config).tau2_star
             if emb is not None:

@@ -1,18 +1,29 @@
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastmix.chains import TransitionGraph, max_degree_chain, validate_chain
+from fastmix.chains import TransitionGraph, validate_chain
+from fastmix.experiments import SANDWICH_SLACK
 from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
                               knkn_graph, path_graph, torus_graph)
-from fastmix.lower_bounds import expansion_lower_bound
-from fastmix.solver import (GRID_MAX_EDGES, FlowProjector, OracleResult,
+from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
+                                  make_cycle_embedding, make_geometric_embedding,
+                                  make_knkn_embedding, make_torus_embedding)
+from fastmix.solver import (CERTIFIED_GAP, GRID_MAX_EDGES, OracleResult,
                             SolverConfig, grid_oracle, solve_fastest_mixing)
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import (cheeger_upper_bound, congestion,
                                   equalize_congestion, shortest_path_system)
 from helpers import random_connected_graph
 
-SMALL = SolverConfig(max_iters=5000, step_constant=0.02)
+SMALL = SolverConfig(max_iters=5000)
 
 
 class TestSolveFastestMixing:
@@ -40,12 +51,16 @@ class TestSolveFastestMixing:
             summary = spectrum(result.chain)
             assert result.lambda2_star == pytest.approx(summary.lambda2, abs=1e-9)
 
-    def test_history_is_monotone_best_iterate(self):
+    def test_history_has_one_value_per_newton_step(self):
         result = solve_fastest_mixing(knkn_graph(3), SolverConfig(max_iters=800))
         history = np.array(result.history)
-        assert np.all(np.diff(history) <= 0)
-        assert result.iterations == len(history)
-        assert result.certificate_gap >= 0.0
+        assert result.iterations == len(history) >= 1
+        assert np.all(np.isfinite(history))
+        # 1 - gamma of the last iterate is a lambda2 bound of its chain,
+        # which saturation can only lower
+        assert history[-1] < history[0]
+        assert history[-1] >= result.lambda2_star - 1e-9
+        assert 0.0 <= result.certified_gap <= CERTIFIED_GAP
 
     def test_deterministic(self):
         graph = knkn_graph(3)
@@ -59,81 +74,126 @@ class TestSolveFastestMixing:
             solve_fastest_mixing(TransitionGraph(1, []))
 
     def test_bad_config_rejected(self):
-        for kwargs in ({"max_iters": 0}, {"max_iters": float("nan")},
-                       {"step_constant": 0.0}, {"step_constant": -1.0},
-                       {"step_constant": float("nan")}, {"step_constant": float("inf")},
-                       {"projection_tol": 0.0}, {"projection_tol": float("nan")},
-                       {"projection_tol": float("inf")}):
+        for value in (0, -3, float("nan")):
             with pytest.raises(ValueError):
-                SolverConfig(**kwargs)
+                SolverConfig(max_iters=value)
 
-    def test_projection_work_is_reported(self):
-        result = solve_fastest_mixing(knkn_graph(3), SolverConfig(max_iters=300))
-        assert result.projection_steps >= result.projection_max_steps >= 1
-        assert result.projection_capped == 0
+    def test_json_fields(self):
+        result = solve_fastest_mixing(cycle_graph(5))
         payload = result.to_json_dict()
-        for key in ("projection_steps", "projection_max_steps", "projection_capped"):
-            assert payload[key] == getattr(result, key)
+        assert set(payload) == {"lambda2_star", "tau2_star", "lower_bound",
+                                "certified_gap", "iterations"}
+        assert payload["certified_gap"] == pytest.approx(
+            (result.tau2_star - result.lower_bound) / result.tau2_star, rel=1e-12)
 
 
-def _assert_kkt(graph, project, y, q):
-    """The KKT certificate of the projection of y onto the flow box."""
-    tol, lam, pi = project.tol, project.lam, graph.pi
-    loads = np.zeros(graph.n)
-    for k, (i, j) in enumerate(graph.edges):
-        loads[i] += q[k]
-        loads[j] += q[k]
-    slack = pi - loads
-    assert q.min() >= 0.0
-    assert slack.min() >= -tol
-    assert lam.min() >= 0.0
-    assert np.all(np.minimum(lam, np.abs(slack)) <= tol)      # complementary slackness
-    assert np.array_equal(q, np.maximum(y - lam[project.ei] - lam[project.ej], 0.0))
+# (graph, its closed-form embedding, whether that embedding is optimal)
+ANALYTIC = [
+    (knkn_graph(3), make_knkn_embedding(3), True),
+    (knkn_graph(6), make_knkn_embedding(6), True),
+    (cycle_graph(4), make_cycle_embedding(4), True),
+    (cycle_graph(7), make_cycle_embedding(7), True),
+    (cycle_graph(12), make_cycle_embedding(12), True),
+    (torus_graph(3, 2), make_torus_embedding(3, 2), True),
+    (torus_graph(5, 2), make_torus_embedding(5, 2), True),
+    (torus_graph(4, 3), make_torus_embedding(4, 3), True),
+    # the geometric closed forms are valid but not tight: the dual beats them
+    (geometric_graph(6, 2), make_geometric_embedding(6, 2), False),
+    (geometric_graph(9, 3), make_geometric_embedding(9, 3), False),
+    (geometric_graph(8, 2, 2), make_geometric_embedding(8, 2, 2), False),
+]
 
 
-def _projection_cases():
-    rng = np.random.default_rng(2024)
-    graphs = [random_connected_graph(rng, int(rng.integers(3, 17)))    # uneven pi
-              for _ in range(12)]
-    graphs += [random_connected_graph(rng, n, extra_edge_prob=0.0)      # trees
-               for n in (2, 5, 9, 16)]
-    graphs += [cycle_graph(4), cycle_graph(10), torus_graph(4, 2)]      # bipartite
-    return graphs
+class TestDualCertificate:
+    @pytest.mark.parametrize("graph,embedding,tight", ANALYTIC, ids=repr)
+    def test_dual_bound_matches_the_analytic_embedding(self, graph, embedding, tight):
+        analytic = embedding_bound(graph, embedding)
+        result = solve_fastest_mixing(graph)
+        assert result.lower_bound >= analytic * (1 - 1e-6)
+        if tight:
+            assert result.lower_bound == pytest.approx(analytic, rel=1e-6)
+            assert result.tau2_star == pytest.approx(analytic, rel=1e-9)
+
+    @pytest.mark.parametrize("graph,embedding,tight", ANALYTIC, ids=repr)
+    def test_tau_agrees_with_the_jacobi_spectrum(self, graph, embedding, tight):
+        result = solve_fastest_mixing(graph)
+        jacobi = spectrum(result.chain)
+        assert result.tau2_star == pytest.approx(jacobi.relaxation_time, rel=1e-9)
+        assert result.lambda2_star == pytest.approx(jacobi.lambda2, abs=1e-9)
+
+    def test_embedding_is_the_certificate(self):
+        graph = random_connected_graph(np.random.default_rng(5), 9)
+        result = solve_fastest_mixing(graph)
+        assert embedding_bound(graph, result.embedding) == result.lower_bound
+        assert result.lower_bound <= result.tau2_star
+        assert result.certified_gap <= 1e-5
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 20])
+    def test_newton_cap_still_certifies(self, cap):
+        graph = random_connected_graph(np.random.default_rng(cap), 8)
+        result = solve_fastest_mixing(graph, SolverConfig(max_iters=cap))
+        assert result.iterations <= cap
+        assert len(result.history) == result.iterations
+        assert validate_chain(result.chain) == []
+        assert embedding_bound(graph, result.embedding) == result.lower_bound
+        assert 0.0 < result.lower_bound <= result.tau2_star
+        full = solve_fastest_mixing(graph)
+        assert full.certified_gap <= result.certified_gap
+        assert result.lower_bound <= full.tau2_star and full.lower_bound <= result.tau2_star
+
+    def test_beats_the_equalized_chain_on_linked_cliques(self):
+        # the equalized chain is not optimal on knkn: the embedding bound is
+        for n in (3, 4):
+            graph = knkn_graph(n)
+            paths = shortest_path_system(graph)
+            equalized = spectrum(equalize_congestion(graph, paths)).relaxation_time
+            result = solve_fastest_mixing(graph)
+            assert result.tau2_star < equalized - 1e-3
 
 
-class TestFlowProjector:
-    @pytest.mark.parametrize("graph", _projection_cases(), ids=repr)
-    def test_kkt_certificate_with_warm_starts(self, graph):
-        rng = np.random.default_rng(graph.n)
-        project = FlowProjector(graph, 1e-10)
-        scale = graph.pi.max()
-        y = rng.uniform(-0.5, 1.5, size=len(graph.edges)) * scale
-        for _ in range(25):
-            q = project(y)
-            _assert_kkt(graph, project, y, q)
-            y = q + rng.normal(scale=0.1 * scale, size=len(graph.edges))
-        assert project.capped == 0
-        assert project.max_steps <= 20
+@st.composite
+def uneven_instances(draw):
+    """Connected graphs on 2..9 nodes: a random tree plus random extra edges,
+    with pi weights drawn from [0.05, 1] (uneven up to a factor of 20)."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return TransitionGraph(n, sorted(edges), weights / weights.sum())
 
-    @pytest.mark.parametrize("graph", _projection_cases(), ids=repr)
-    def test_feasible_input_comes_back_unchanged(self, graph):
-        y = max_degree_chain(graph).flows()[[e[0] for e in graph.edges],
-                                            [e[1] for e in graph.edges]]
-        project = FlowProjector(graph, 1e-10)
-        assert np.array_equal(project(y), y)
-        assert project.steps == 0
 
-    def test_negative_input_gives_zero_flows(self):
-        graph = knkn_graph(4)
-        project = FlowProjector(graph, 1e-10)
-        m = len(graph.edges)
-        assert np.array_equal(project(-np.ones(m)), np.zeros(m))
-        project(np.ones(m))                         # leave warm multipliers behind
-        assert project.lam.max() > 0.0
-        y = -np.linspace(0.01, 1.0, m)
-        q = project(y)
-        assert np.array_equal(q, np.zeros(m))
-        _assert_kkt(graph, project, y, q)
+@settings(max_examples=40, deadline=None)
+@given(uneven_instances())
+def test_certified_sandwich_property(graph):
+    result = solve_fastest_mixing(graph)
+    assert embedding_bound(graph, result.embedding) == result.lower_bound
+    paths = shortest_path_system(graph)
+    upper = congestion(equalize_congestion(graph, paths), paths).rho_bar
+    assert result.lower_bound <= result.tau2_star <= upper + SANDWICH_SLACK
+    assert result.certified_gap <= 1e-4
+
+
+def test_report_row_never_imports_scipy(tmp_path):
+    # importing scipy.optimize lifts a fresh process's resident memory from
+    # ~27 MB to ~76 MB (scipy 1.17, numpy 2.4), more than any row needs
+    graph = random_connected_graph(np.random.default_rng(3), 10)
+    path = tmp_path / "g.json"
+    graph.save(path)
+    script = (
+        "import sys\n"
+        "from fastmix import cli\n"
+        f"code = cli.main(['report', '--family', 'custom', '--sweep', 'path={path}'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout)[0]
+    assert row["lb_embed"] <= row["tau2_solver"] <= row["ub_congestion"]
+    assert math.isfinite(row["certified_gap"]) and row["certified_gap"] <= 1e-4
 
 
 class TestGridOracle:
@@ -186,7 +246,7 @@ class TestSandwichCertification:
         cases = [knkn_graph(3), knkn_graph(4), cycle_graph(4), cycle_graph(7),
                  complete_graph(4), torus_graph(3, 2), geometric_graph(6, 2),
                  path_graph(5)]
-        config = SolverConfig(max_iters=3000, step_constant=0.05)
+        config = SolverConfig(max_iters=3000)
         for graph in cases:
             tau2 = solve_fastest_mixing(graph, config).tau2_star
             assert expansion_lower_bound(graph).value <= tau2 + 1e-6

@@ -6,7 +6,7 @@ import pytest
 from fastmix.chains import ReversibleChain, TransitionGraph
 from fastmix.families import complete_graph, cycle_graph
 from fastmix.spectral import (jacobi_eigh, rayleigh_quotient, second_eigenvector,
-                              spectrum, symmetrized)
+                              spectrum, summarize, symmetrized)
 from fastmix.chains import symmetric_walk
 from helpers import (check_rayleigh_dominates_gap, random_connected_graph,
                      random_valid_chain)
@@ -106,6 +106,26 @@ class TestRayleigh:
 
     def test_dominates_gap_on_random_instances(self):
         check_rayleigh_dominates_gap(seed=12, chains=200, functions=20)
+
+
+class TestSummarize:
+    def test_matches_spectrum_on_lapack_eigenvalues(self):
+        chain = symmetric_walk(cycle_graph(6))
+        lapack = summarize(np.linalg.eigvalsh(symmetrized(chain))[::-1])
+        jacobi = spectrum(chain)
+        assert lapack.relaxation_time == pytest.approx(jacobi.relaxation_time, rel=1e-12)
+        assert np.allclose(lapack.eigenvalues, jacobi.eigenvalues, atol=1e-12)
+
+    @pytest.mark.parametrize("eigenvalues", [[0.9, 0.5], [1.0, -1.5], [1.2, 0.5],
+                                             [math.nan, 0.5], [1.0, math.nan]])
+    def test_rejects_impossible_spectra(self, eigenvalues):
+        with pytest.raises(ArithmeticError):
+            summarize(eigenvalues)
+
+    def test_near_reducible_is_infinite(self):
+        assert summarize([1.0, 1.0 - 1e-13, 0.2]).relaxation_time == math.inf
+        assert summarize([1.0]).relaxation_time == math.inf
+        assert summarize([1.0, 0.5, -1.0]).relaxation_time == pytest.approx(2.0)
 
 
 def test_symmetrized_is_symmetric():

@@ -5,7 +5,7 @@ import pytest
 
 from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
                             max_degree_chain, validate_chain)
-from fastmix.families import complete_graph, cycle_graph, knkn_graph
+from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import expansion_lower_bound
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
@@ -14,6 +14,58 @@ from fastmix.upper_bounds import (PathSystem, cheeger_bound_from_expansion,
                                   equalize_congestion, path_loads,
                                   shortest_path_system)
 from helpers import check_congestion_soundness, random_connected_graph
+
+
+def reference_paths(graph):
+    """The per-pair BFS walk the vectorized path system must reproduce."""
+    dist = []
+    for source in range(graph.n):
+        d = [-1] * graph.n
+        d[source] = 0
+        queue = [source]
+        for u in queue:
+            for v in graph.neighbors(u):
+                if d[v] < 0:
+                    d[v] = d[u] + 1
+                    queue.append(v)
+        dist.append(d)
+    paths = {}
+    for x in range(graph.n):
+        for y in range(x + 1, graph.n):
+            nodes = [x]
+            while nodes[-1] != y:
+                cur = nodes[-1]
+                nodes.append(next(v for v in graph.neighbors(cur)
+                                  if dist[x][v] == dist[x][cur] + 1
+                                  and dist[v][y] == dist[x][y] - dist[x][cur] - 1))
+            paths[(x, y)] = tuple(nodes)
+    return paths
+
+
+def reference_loads(graph, paths):
+    """Per-pair, per-hop accumulation of W, in pair order."""
+    W = np.zeros(len(graph.edges))
+    for (x, y), nodes in sorted(paths.items()):
+        weight = graph.pi[x] * graph.pi[y] * (len(nodes) - 1)
+        for a, b in zip(nodes, nodes[1:]):
+            W[graph.edge_index[(min(a, b), max(a, b))]] += weight
+    return W
+
+
+def reference_cases():
+    rng = np.random.default_rng(52)
+    graphs = [random_connected_graph(rng, int(rng.integers(2, 14)),
+                                     extra_edge_prob=float(rng.choice([0.0, 0.3])))
+              for _ in range(8)]
+    return graphs + [knkn_graph(4), cycle_graph(7), torus_graph(5, 2), complete_graph(5)]
+
+
+@pytest.mark.parametrize("graph", reference_cases(), ids=repr)
+def test_vectorized_paths_and_loads_match_the_loops(graph):
+    system = shortest_path_system(graph)
+    expected = reference_paths(graph)
+    assert dict(system.pairs()) == expected
+    assert np.array_equal(path_loads(graph, system), reference_loads(graph, expected))
 
 
 class TestShortestPaths:
@@ -50,6 +102,37 @@ class TestShortestPaths:
                                (1, 2): (1, 2), (1, 3): (1, 0, 3), (2, 3): (2, 3)})
         with pytest.raises(ValueError, match="all"):
             PathSystem(graph, {(0, 1): (0, 1)})
+
+
+    def test_flat_arrays(self):
+        graph = knkn_graph(3)
+        system = shortest_path_system(graph)
+        pairs = graph.n * (graph.n - 1) // 2
+        assert system.offsets.shape == (pairs + 1,)
+        assert system.offsets[0] == 0 and system.offsets[-1] == len(system.nodes)
+        assert tuple(system.nodes[system.offsets[0]:system.offsets[1]]) == (0, 1)
+        with pytest.raises(ValueError):
+            system.nodes[0] = 5                  # read-only
+
+    def test_dict_round_trip_is_identical(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            graph = random_connected_graph(rng, int(rng.integers(2, 10)))
+            system = shortest_path_system(graph)
+            # give every other path from its larger endpoint
+            given = {(y, x) if (x + y) % 2 else (x, y): nodes[::-1] if (x + y) % 2 else nodes
+                     for (x, y), nodes in system.pairs()}
+            again = PathSystem(graph, given)
+            assert np.array_equal(again.nodes, system.nodes)
+            assert np.array_equal(again.offsets, system.offsets)
+            assert np.array_equal(path_loads(graph, again), path_loads(graph, system))
+
+    def test_path_with_repeated_node_rejected(self):
+        graph = cycle_graph(4)
+        paths = {(x, y): nodes for (x, y), nodes in shortest_path_system(graph).pairs()}
+        paths[(0, 1)] = (0, 3, 0, 1)
+        with pytest.raises(ValueError, match="repeats"):
+            PathSystem(graph, paths)
 
 
 class TestCongestion:
@@ -156,6 +239,17 @@ class TestCheeger:
             graph = random_connected_graph(rng, int(rng.integers(2, 8)))
             assert cheeger_upper_bound(graph) >= \
                 solve_fastest_mixing(graph, config).tau2_star - 1e-6
+
+
+def test_shared_loads_are_bitwise_identical():
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        graph = random_connected_graph(rng, int(rng.integers(2, 10)))
+        paths = shortest_path_system(graph)
+        loads = path_loads(graph, paths)
+        equalized = equalize_congestion(graph, paths, loads)
+        assert np.array_equal(equalized.P, equalize_congestion(graph, paths).P)
+        assert congestion(equalized, paths, loads) == congestion(equalized, paths)
 
 
 def test_path_loads_sum_rule():
