@@ -25,7 +25,6 @@ from .solver import SolverConfig, solve_fastest_mixing
 from .spectral import spectrum
 
 SANDWICH_SLACK = 1e-6
-EXPANSION_ENUM_CAP = 16        # 2^16 subsets is still cheap
 EXACT_SPIN_STATE_CAP = 512     # dense spectra beyond this are not worth the wait
 
 GRAPH_COLUMNS = ("family", "params", "lb_embed", "lb_expansion", "tau2_solver",
@@ -73,7 +72,7 @@ def _graph_row(spec, graph):
         lb_embed = max(lb_embed, lower_bounds.embedding_bound(graph, embedding))
 
     lb_expansion = ub_cheeger = None
-    if graph.n <= EXPANSION_ENUM_CAP:
+    if graph.n <= lower_bounds.EXHAUSTIVE_NODE_CAP:
         # one 2^n enumeration serves both bounds
         expansion = lower_bounds.expansion_lower_bound(graph)
         lb_expansion = expansion.value
@@ -127,8 +126,11 @@ def _ising_row(spec):
     tau_uniform = tau_rated = None
     ok = None
     if system.n_states <= EXACT_SPIN_STATE_CAP:
-        uniform = glauber.build_glauber_chain(system, glauber.uniform_rates(system.n_sites))
-        rated = glauber.build_glauber_chain(system, glauber.optimal_rates(tree, beta))
+        # both chains live on the same configuration graph
+        graph = glauber.configuration_graph(system)
+        uniform = glauber.build_glauber_chain(
+            system, glauber.uniform_rates(system.n_sites), graph)
+        rated = glauber.build_glauber_chain(system, glauber.optimal_rates(tree, beta), graph)
         tau_uniform = spectrum(uniform).relaxation_time
         tau_rated = spectrum(rated).relaxation_time
         ok = (tau_uniform <= bounds.max_value + SANDWICH_SLACK

@@ -132,7 +132,10 @@ def _move_targets(system, digits, v, c):
 
 def gibbs_distribution(system):
     """Exact Gibbs probabilities over the enumerated configurations."""
-    digits = state_color_indices(system)
+    return _gibbs(system, state_color_indices(system))
+
+
+def _gibbs(system, digits):
     log_w = np.zeros(system.n_states)
     for (v, w), table in system.tables.items():
         log_table = np.array([[math.log(x) for x in row] for row in table])
@@ -153,7 +156,7 @@ def configuration_graph(system):
             src.append(states[up])
             dst.append(_move_targets(system, digits, v, c)[up])
     edges = zip(np.concatenate(src).tolist(), np.concatenate(dst).tolist())
-    return TransitionGraph(system.n_states, edges, gibbs_distribution(system))
+    return TransitionGraph(system.n_states, edges, _gibbs(system, digits))
 
 
 # -- the dynamics ---------------------------------------------------------
@@ -212,16 +215,22 @@ def uniform_rates(n_sites):
     return RateVector(np.full(n_sites, 1.0 / n_sites))
 
 
-def build_glauber_chain(system, rates):
+def build_glauber_chain(system, rates, graph=None):
     """Explicit transition matrix of the rated dynamics on the configuration graph.
 
     P(sigma, sigma_v^a) = rho(v) K(sigma, sigma_v^a) for a != sigma(v); the
     diagonal absorbs the rest.  Output is reversible for the exact Gibbs pi
     by construction (checked numerically by the callers' validators).
+    ``graph`` is ``configuration_graph(system)`` when the caller already has
+    it, so chains with different rates can share one.
     """
-    digits = state_color_indices(system)
     if len(rates.rho) != system.n_sites:
         raise ValueError("one rate per site required")
+    if graph is None:
+        graph = configuration_graph(system)
+    elif graph.n != system.n_states:
+        raise ValueError(f"graph has {graph.n} nodes, system {system.n_states} states")
+    digits = state_color_indices(system)
     kernels = heat_bath_kernels(system)
     N = system.n_states
     states = np.arange(N)
@@ -237,7 +246,7 @@ def build_glauber_chain(system, rates):
             P[states[moving], _move_targets(system, digits, v, c)[moving]] = move
             off[moving] += move
     P[states, states] = 1.0 - off
-    return ReversibleChain(configuration_graph(system), P)
+    return ReversibleChain(graph, P)
 
 
 def kbar(system):

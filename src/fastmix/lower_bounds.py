@@ -5,6 +5,14 @@ embeddings of the graph (nodes spread as far as possible subject to per-edge
 distance budgets), and a combinatorial one through the weighted vertex
 expansion.  The analytic embeddings for the benchmark families are provided
 as constructors.
+
+The vertex expansion is a minimum over cuts.  ``vertex_expansion`` takes it
+over all ``2^n - 2`` proper nonempty subsets up to ``EXHAUSTIVE_NODE_CAP``
+nodes, or over a candidate list at any size, through one block evaluator:
+boolean (node, subset) membership blocks of ``2^9`` subsets, the outer
+boundary from one adjacency product per block, and pi sums added in
+ascending node order, so each value rounds exactly like the scalar sum over
+the subset's members.  Memory is ``O(n 2^9)`` whatever the number of cuts.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from .families import torus_coordinates
 
 FEASIBILITY_SLACK = 1e-9   # constructions hit constraints with equality
-EXHAUSTIVE_NODE_CAP = 24
+EXHAUSTIVE_NODE_CAP = 20     # 2^20 cuts take a fraction of a second
 
 
 class Embedding:
@@ -130,24 +138,109 @@ def specified_chain_bound(chain, vectors):
 
 # -- vertex expansion ----------------------------------------------------
 
-
-def _boundary_mask(members_mask, neighbor_masks, n):
-    reach = 0
-    rest = members_mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        reach |= neighbor_masks[v]
-        rest &= rest - 1
-    return reach & ~members_mask
+_BLOCK_BITS = 9             # 2^9 subsets per evaluated block
 
 
-def _mask_nodes(mask):
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return tuple(out)
+def _node_ids(subset, n):
+    """Node ids of one candidate subset, rejecting anything that is not a node."""
+    ids = []
+    for v in subset:
+        try:
+            k = int(v)
+        except (TypeError, ValueError, OverflowError):
+            k = None
+        if k is None or k != v or not 0 <= k < n:
+            raise ValueError(f"candidate node {v!r} is not a node of the graph (0..{n - 1})")
+        ids.append(k)
+    return ids
+
+
+def _candidate_blocks(n, candidates):
+    """(n, k) membership blocks of the candidate subsets, in the given order."""
+    candidates = list(candidates)
+    width = 1 << _BLOCK_BITS
+    for start in range(0, len(candidates), width):
+        chunk = candidates[start:start + width]
+        member = np.zeros((n, len(chunk)), dtype=bool)
+        for col, subset in enumerate(chunk):
+            member[_node_ids(subset, n), col] = True
+        sizes = member.sum(axis=0)
+        if np.any((sizes == 0) | (sizes == n)):
+            raise ValueError("candidate subsets must be proper and nonempty")
+        yield member
+
+
+def _all_subsets(n):
+    """(n, 2^9) membership blocks of every proper nonempty subset, in mask order.
+
+    The low bits of a mask index the columns of a block and the high bits
+    number the blocks, so only the rows of the high nodes change between
+    blocks.  The yielded views share one buffer.
+    """
+    if n < 2:
+        return
+    low = min(n, _BLOCK_BITS)
+    width = 1 << low
+    member = np.zeros((n, width), dtype=bool)
+    columns = np.arange(width)
+    for v in range(low):
+        member[v] = (columns >> v) & 1
+    blocks = 1 << (n - low)
+    for high in range(blocks):
+        for v in range(low, n):
+            member[v] = (high >> (v - low)) & 1
+        first = 1 if high == 0 else 0                   # the empty set
+        stop = width - 1 if high == blocks - 1 else width   # the full set
+        yield member[:, first:stop]
+
+
+def _ascending_sums(pi, member):
+    """sum(pi[v] for v in S) per column S, added in ascending node order from 0.0.
+
+    Adding ``0.0`` for a non-member leaves a partial sum unchanged, so each
+    column rounds exactly like the scalar sum over its members.
+    """
+    total = np.zeros(member.shape[1])
+    for v in range(len(pi)):
+        total += member[v] * pi[v]
+    return total
+
+
+def _block_ratios(adjacency, pi, member):
+    """pi(dS) / min(pi(S), 1 - pi(S)) for the subsets in the columns of ``member``."""
+    # neighbour counts are small integers; a positive float32 sum is never 0
+    reach = adjacency @ member.astype(np.float32) > 0
+    boundary = reach & ~member
+    pi_s = _ascending_sums(pi, member)
+    pi_b = _ascending_sums(pi, boundary)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return pi_b / np.minimum(pi_s, 1.0 - pi_s)
+
+
+def _lex_smallest(member):
+    """Lexicographically smallest sorted member tuple among the columns of ``member``.
+
+    Walks the nodes upwards keeping the columns that agree on every node
+    below ``v``: a column with no member left is a prefix of all the others
+    and wins; otherwise the columns containing ``v`` beat those that skip it.
+    """
+    cols = np.arange(member.shape[1])
+    last = member.shape[0] - 1 - np.argmax(member[::-1], axis=0)
+    for v in range(member.shape[0]):
+        if len(cols) == 1:
+            break
+        ended = last[cols] < v
+        if ended.any():
+            cols = cols[ended]
+            break
+        has = member[v, cols]
+        if has.any():
+            cols = cols[has]
+    return tuple(np.flatnonzero(member[:, cols[0]]).tolist())
+
+
+def _edge_array(graph):
+    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
 
 
 def vertex_expansion(graph, candidates=None):
@@ -156,40 +249,31 @@ def vertex_expansion(graph, candidates=None):
     ``dS`` is the outer node boundary of S (self-loops do not count as
     adjacency).  Exhaustive over all proper nonempty subsets unless an
     explicit candidate list is given; ties go to the lexicographically
-    smallest subset.
+    smallest subset.  Subsets are evaluated in blocks of 2^9 as boolean
+    (node, subset) membership columns, so memory stays O(n 2^9) whatever
+    the number of subsets; pi sums round exactly like a scalar sum over the
+    members in ascending order.
     """
     n, pi = graph.n, graph.pi
     if candidates is None and n > EXHAUSTIVE_NODE_CAP:
         raise ValueError(
             f"n={n} too large for exhaustive search (cap {EXHAUSTIVE_NODE_CAP}); "
             "pass a candidate subset list")
-    neighbor_masks = [0] * n
-    for i, j in graph.edges:
-        neighbor_masks[i] |= 1 << j
-        neighbor_masks[j] |= 1 << i
-
-    if candidates is None:
-        masks = range(1, (1 << n) - 1)
-    else:
-        masks = []
-        for sub in candidates:
-            mask = 0
-            for v in sub:
-                mask |= 1 << int(v)
-            if mask == 0 or mask == (1 << n) - 1:
-                raise ValueError("candidate subsets must be proper and nonempty")
-            masks.append(mask)
+    adjacency = np.zeros((n, n), dtype=np.float32)
+    ends = _edge_array(graph)
+    adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = 1.0
+    blocks = _all_subsets(n) if candidates is None else _candidate_blocks(n, candidates)
 
     best_ratio = math.inf
     best_subset = None
-    for mask in masks:
-        members = _mask_nodes(mask)
-        pi_s = float(sum(pi[v] for v in members))
-        boundary = _boundary_mask(mask, neighbor_masks, n)
-        pi_b = float(sum(pi[v] for v in _mask_nodes(boundary)))
-        ratio = pi_b / min(pi_s, 1.0 - pi_s)
-        if ratio < best_ratio or (ratio == best_ratio and members < best_subset):
-            best_ratio, best_subset = ratio, members
+    for member in blocks:
+        ratio = _block_ratios(adjacency, pi, member)
+        low = np.fmin.reduce(ratio)     # NaN ratios never win
+        if not low <= best_ratio:
+            continue
+        subset = _lex_smallest(member[:, ratio == low])
+        if best_subset is None or low < best_ratio or subset < best_subset:
+            best_ratio, best_subset = float(low), subset
     return best_ratio, best_subset
 
 
@@ -216,18 +300,21 @@ def expansion_lower_bound(graph, candidates=None):
     n = graph.n
     # the minimizer's own outer boundary is the lighter of the two, so the
     # proof's convention pi(dS^c) <= pi(dS) holds for S = complement(s_min)
-    subset = tuple(v for v in range(n) if v not in set(s_min))
+    in_s = np.ones(n, dtype=bool)
+    in_s[list(s_min)] = False
+    subset = tuple(np.flatnonzero(in_s).tolist())
 
-    in_s = np.zeros(n, dtype=bool)
-    in_s[list(subset)] = True
-    inner_boundary = [i for i in range(n) if in_s[i]
-                      and any(not in_s[j] for j in graph.neighbors(i))]
+    # inner boundary: the nodes of S with a neighbour outside S
+    ends = _edge_array(graph)
+    inner = np.zeros(n, dtype=bool)
+    inner[ends[in_s[ends[:, 0]] != in_s[ends[:, 1]]].ravel()] = True
+    inner &= in_s
     pi_s = float(pi[in_s].sum())
-    pi_inner = float(pi[inner_boundary].sum())
+    pi_inner = float(pi[inner].sum())
 
     w0 = 1.0 / pi_inner
     slacks = np.zeros(n)
-    slacks[inner_boundary] = w0
+    slacks[inner] = w0
     sep = math.sqrt(w0)
     vectors = np.where(in_s, (1.0 - pi_s) * sep, -pi_s * sep)
     return ExpansionBound(value=1.0 / (2.0 * upsilon), upsilon=upsilon,

@@ -5,6 +5,8 @@ them with their documented sizes, and the acceptance runner re-executes the
 key ones under a single fixed seed.
 """
 
+import math
+
 import numpy as np
 
 from fastmix.chains import ReversibleChain, TransitionGraph, validate_chain
@@ -74,3 +76,58 @@ def check_congestion_soundness(seed=0, cases=50, max_n=8):
         tau2 = spectrum(chain).relaxation_time
         rho = congestion(chain, shortest_path_system(graph)).rho_bar
         assert tau2 <= rho + 1e-9
+
+
+def vertex_expansion_reference(graph, candidates=None):
+    """Per-subset loop over bit masks: the scalar reference for ``vertex_expansion``.
+
+    Sums pi over the members in ascending node order, exactly like
+    ``sum(pi[v] for v in members)``, and breaks ties towards the
+    lexicographically smallest member tuple.
+    """
+    n, pi = graph.n, graph.pi
+    neighbor_masks = [0] * n
+    for i, j in graph.edges:
+        neighbor_masks[i] |= 1 << j
+        neighbor_masks[j] |= 1 << i
+
+    def nodes(mask):
+        out = []
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            out.append(v)
+            mask &= mask - 1
+        return tuple(out)
+
+    if candidates is None:
+        masks = range(1, (1 << n) - 1)
+    else:
+        masks = [sum(1 << int(v) for v in set(sub)) for sub in candidates]
+    best_ratio, best_subset = math.inf, None
+    for mask in masks:
+        members = nodes(mask)
+        reach = 0
+        for v in members:
+            reach |= neighbor_masks[v]
+        pi_s = float(sum(pi[v] for v in members))
+        pi_b = float(sum(pi[v] for v in nodes(reach & ~mask)))
+        ratio = pi_b / min(pi_s, 1.0 - pi_s)
+        if ratio < best_ratio or (ratio == best_ratio and members < best_subset):
+            best_ratio, best_subset = ratio, members
+    return best_ratio, best_subset
+
+
+def expansion_witness_reference(graph, s_min):
+    """Complement subset, vectors and slacks of the expansion witness, by loops."""
+    n, pi = graph.n, graph.pi
+    subset = tuple(v for v in range(n) if v not in set(s_min))
+    in_s = np.zeros(n, dtype=bool)
+    in_s[list(subset)] = True
+    inner = [i for i in range(n) if in_s[i]
+             and any(not in_s[j] for j in graph.neighbors(i))]
+    pi_s = float(pi[in_s].sum())
+    w0 = 1.0 / float(pi[inner].sum())
+    slacks = np.zeros(n)
+    slacks[inner] = w0
+    sep = math.sqrt(w0)
+    return subset, np.where(in_s, (1.0 - pi_s) * sep, -pi_s * sep), slacks

@@ -110,6 +110,34 @@ class TestExperiments:
         assert row["ub_cheeger"] == upper_bounds.cheeger_upper_bound(graph)
         assert row["lb_expansion"] == lower_bounds.expansion_lower_bound(graph).value
 
+    def test_expansion_cap_is_the_enumeration_cap(self, tmp_path):
+        from fastmix import lower_bounds
+        assert not hasattr(experiments, "EXPANSION_ENUM_CAP")
+        assert lower_bounds.EXHAUSTIVE_NODE_CAP == 20
+        path = tmp_path / "g18.json"
+        random_connected_graph(np.random.default_rng(18), 18, extra_edge_prob=0.2).save(path)
+        row = experiments.run_experiment(
+            experiments.ExperimentSpec(family="custom", params={"path": str(path)}))
+        assert row["lb_expansion"] is not None and row["ub_cheeger"] is not None
+        assert row["lb_expansion"] <= row["tau2_solver"] <= row["ub_cheeger"]
+
+    def test_ising_row_builds_one_configuration_graph(self, monkeypatch):
+        from fastmix import glauber
+        calls = []
+        original = glauber.configuration_graph
+
+        def counted(system):
+            calls.append(system)
+            return original(system)
+
+        monkeypatch.setattr(glauber, "configuration_graph", counted)
+        spec = experiments.ExperimentSpec(family="ising_tree",
+                                          params={"b": 2, "r": 2, "beta": 0.5})
+        row = experiments.run_experiment(spec)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert row == experiments.run_experiment(spec)
+
     def test_bound_inversion_detected(self):
         row = {"family": "cycle", "params": {"n": 4}, "lb_embed": 2.0,
                "lb_expansion": None, "tau2_solver": 1.0,
@@ -209,6 +237,15 @@ class TestCli:
         assert cli.main(["lower", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lb_expansion"] == pytest.approx(1.5)
+
+    def test_expansion_fields_stop_at_the_cap(self, tmp_path, capsys):
+        gpath = tmp_path / "c21.json"
+        families.cycle_graph(21).save(gpath)
+        assert cli.main(["lower", str(gpath)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert not {"vertex_expansion", "lb_expansion", "expansion_subset"} & set(payload)
+        assert cli.main(["upper", str(gpath)]) == 0
+        assert "ub_cheeger" not in json.loads(capsys.readouterr().out)
 
     def test_lower_with_embedding(self, tmp_path, capsys):
         from fastmix.lower_bounds import make_cycle_embedding

@@ -216,6 +216,24 @@ class TestGlauberChain:
         assert chain.graph.n == 16
         assert validate_chain(chain) == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(spin_systems_with_rates())
+    def test_shared_configuration_graph_gives_the_same_chain(self, case):
+        system, rates = case
+        graph = configuration_graph(system)
+        shared = build_glauber_chain(system, rates, graph)
+        own = build_glauber_chain(system, rates)
+        assert shared.graph is graph
+        assert np.array_equal(shared.P, own.P)
+        assert shared.graph.edges == own.graph.edges
+        assert np.array_equal(shared.pi, own.pi)
+        assert np.array_equal(graph.pi, gibbs_distribution(system))
+
+    def test_configuration_graph_must_fit_the_system(self):
+        with pytest.raises(ValueError, match="graph has 4 nodes"):
+            build_glauber_chain(ising_tree(3, 1, 0.5)[1], uniform_rates(4),
+                                configuration_graph(ising_edge(0.4)))
+
     def test_configuration_graph_edges_are_single_site_moves(self):
         graph = configuration_graph(ising_edge(0.4))
         assert graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))

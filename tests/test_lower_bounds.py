@@ -1,7 +1,11 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastmix.chains import ReversibleChain, TransitionGraph, symmetric_walk
 from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
@@ -13,7 +17,8 @@ from fastmix.lower_bounds import (Embedding, embedding_bound, embedding_violatio
                                   vertex_expansion)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from helpers import random_connected_graph, random_valid_chain
+from helpers import (expansion_witness_reference, random_connected_graph,
+                     random_valid_chain, vertex_expansion_reference)
 
 SQ2 = math.sqrt(2.0)
 
@@ -145,7 +150,140 @@ class TestVertexExpansion:
             vertex_expansion(graph)
 
 
+def uneven(graph, seed=0):
+    """The same graph under a seeded uneven pi."""
+    pi = np.random.default_rng(seed + graph.n).uniform(0.2, 1.0, size=graph.n)
+    return TransitionGraph(graph.n, graph.edges, pi / pi.sum())
+
+
+def tree(n, seed=0, uniform_pi=False):
+    return random_connected_graph(np.random.default_rng(seed + n), n,
+                                  extra_edge_prob=0.0, uniform_pi=uniform_pi)
+
+
+def random_graph(n, uniform_pi=False):
+    return random_connected_graph(np.random.default_rng(100 + n), n,
+                                  uniform_pi=uniform_pi)
+
+
+# n = 2..16; uniform-pi cycles, tori, complete graphs and linked cliques
+# have many equal ratios and exercise the tie rule
+REFERENCE_GRAPHS = (
+    [(f"cycle{n}", lambda n=n: cycle_graph(n)) for n in range(3, 17)]
+    + [(f"cycle{n}-uneven", lambda n=n: uneven(cycle_graph(n))) for n in (4, 7, 10, 13, 16)]
+    + [(f"torus{m}x{m}", lambda m=m: torus_graph(m, 2)) for m in (3, 4)]
+    + [(f"torus{m}x{m}-uneven", lambda m=m: uneven(torus_graph(m, 2))) for m in (3, 4)]
+    + [(f"knkn{n}", lambda n=n: knkn_graph(n)) for n in range(2, 9)]
+    + [(f"knkn{n}-uneven", lambda n=n: uneven(knkn_graph(n))) for n in (3, 5)]
+    + [(f"complete{n}", lambda n=n: complete_graph(n)) for n in range(2, 13)]
+    + [(f"complete{n}-uneven", lambda n=n: uneven(complete_graph(n))) for n in (5, 9)]
+    + [(f"tree{n}-uneven", lambda n=n: tree(n)) for n in range(2, 17)]
+    + [(f"tree{n}", lambda n=n: tree(n, uniform_pi=True)) for n in (5, 9, 13)]
+    + [(f"random{n}-uneven", lambda n=n: random_graph(n)) for n in (6, 11, 16)]
+    + [(f"random{n}", lambda n=n: random_graph(n, uniform_pi=True)) for n in (8, 12)]
+)
+
+
+@st.composite
+def graphs_with_candidates(draw):
+    n = draw(st.integers(2, 26))
+    graph = random_connected_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                   n, extra_edge_prob=draw(st.sampled_from([0.0, 0.2, 0.6])),
+                                   uniform_pi=draw(st.booleans()))
+    # unsorted, with repeats and repeated subsets; at most n - 1 entries keeps them proper
+    subset = st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1)
+    return graph, draw(st.lists(subset, min_size=1, max_size=30))
+
+
+class TestVertexExpansionReference:
+    """The block evaluator against the per-subset loop of ``helpers``."""
+
+    @pytest.mark.parametrize("build", [b for _, b in REFERENCE_GRAPHS],
+                             ids=[name for name, _ in REFERENCE_GRAPHS])
+    def test_exhaustive_bitwise(self, build):
+        graph = build()
+        upsilon, subset = vertex_expansion(graph)
+        expected = vertex_expansion_reference(graph)
+        assert (upsilon.hex(), subset) == (expected[0].hex(), expected[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_candidates())
+    def test_candidates_bitwise(self, case):
+        graph, candidates = case
+        upsilon, subset = vertex_expansion(graph, candidates)
+        expected = vertex_expansion_reference(graph, candidates)
+        assert (upsilon.hex(), subset) == (expected[0].hex(), expected[1])
+
+    def test_parameter_names_are_kept(self):
+        # callers and tracers bind the arguments by these names
+        assert list(inspect.signature(vertex_expansion).parameters) == ["graph", "candidates"]
+
+    def test_cut_whose_complement_rounds_away_is_skipped(self):
+        # pi({0, 1}) rounds to 1.0, so min(pi(S), 1 - pi(S)) is 0 for that cut;
+        # the scalar loop raised ZeroDivisionError there
+        graph = TransitionGraph(3, [(0, 1), (1, 2)], [0.5, 0.5, 1e-17])
+        assert vertex_expansion(graph) == (1.0, (0,))
+
+    def test_single_node_has_no_cut(self):
+        graph = TransitionGraph(1, [])
+        assert vertex_expansion(graph) == vertex_expansion_reference(graph) == (math.inf, None)
+        assert vertex_expansion(cycle_graph(4), []) == (math.inf, None)
+
+    def test_candidates_across_blocks(self):
+        rng = np.random.default_rng(5)
+        graph = cycle_graph(30)
+        candidates = [tuple(np.flatnonzero(rng.random(30) < 0.5)) for _ in range(1500)]
+        candidates = [c for c in candidates if 0 < len(c) < 30]
+        # arcs tie at the minimum; the lexicographically smallest must win
+        candidates += [tuple(range(k, k + 15)) for k in range(15, -1, -1)]
+        upsilon, subset = vertex_expansion(graph, candidates)
+        assert (upsilon, subset) == vertex_expansion_reference(graph, candidates)
+        assert subset == tuple(range(15))
+
+    def test_high_degree_does_not_wrap(self):
+        # 256 leaves of a 300-leaf star reach the centre 256 times: a uint8
+        # count would wrap to 0 and lose the centre from the boundary
+        n = 301
+        graph = TransitionGraph(n, [(0, k) for k in range(1, n)])
+        upsilon, subset = vertex_expansion(graph, [tuple(range(1, 257))])
+        assert upsilon == vertex_expansion_reference(graph, [tuple(range(1, 257))])[0]
+        assert upsilon == pytest.approx(1 / 45, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [5, 4, -1, 1.5, math.inf, "1", None])
+    def test_bad_candidate_node_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"candidate node {bad!r}"):
+            vertex_expansion(cycle_graph(4), candidates=[(0, 1), (bad,)])
+
+    @pytest.mark.parametrize("subset", [(), (0, 1, 2, 3), (3, 2, 1, 0, 0)])
+    def test_improper_candidate_rejected(self, subset):
+        with pytest.raises(ValueError, match="proper and nonempty"):
+            vertex_expansion(cycle_graph(4), candidates=[(0,), subset])
+
+    def test_allocation_is_bounded(self):
+        graph = random_connected_graph(np.random.default_rng(3), 16)
+        tracemalloc.start()
+        try:
+            vertex_expansion(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
+
+
 class TestExpansionLowerBound:
+    @pytest.mark.parametrize("build", [b for _, b in REFERENCE_GRAPHS[::4]],
+                             ids=[name for name, _ in REFERENCE_GRAPHS[::4]])
+    def test_witness_matches_loops_bitwise(self, build):
+        graph = build()
+        bound = expansion_lower_bound(graph)
+        upsilon, s_min = vertex_expansion_reference(graph)
+        subset, vectors, slacks = expansion_witness_reference(graph, s_min)
+        assert bound.upsilon.hex() == upsilon.hex()
+        assert bound.value.hex() == (1.0 / (2.0 * upsilon)).hex()
+        assert bound.subset == subset
+        assert bound.embedding.vectors.tobytes() == vectors[:, None].tobytes()
+        assert bound.embedding.slacks.tobytes() == slacks.tobytes()
+
     def test_linked_cliques_value(self):
         bound = expansion_lower_bound(knkn_graph(3))
         assert bound.value == pytest.approx(1.5)
