@@ -8,8 +8,9 @@ lists proper (i != j) pairs.
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import deque
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -19,30 +20,73 @@ STOCHASTIC_TOL = 1e-10  # row sums / detailed balance
 NONNEG_TOL = 1e-12      # entry nonnegativity and off-edge zeros
 
 
+def _node_ids(values, n):
+    """``values`` as int64 node ids (0 where masked), and the mask of the non-ids.
+
+    Node ids are the integers 0..n-1, also as other numbers equal to them
+    (``1.0``); strings, None, fractions and non-finite numbers are none.
+    """
+    with np.errstate(invalid="ignore"):
+        if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+            bad = ~((values >= 0) & (values < n) & (values % 1 == 0))
+        else:                               # judge the entries as given
+            values = np.asarray(values, dtype=object)
+            bad = ~np.frompyfunc(lambda v: isinstance(v, numbers.Real) and v % 1 == 0
+                                 and 0 <= v < n, 1, 1)(values).astype(bool)
+    return np.where(bad, 0, values).astype(np.int64), bad
+
+
 def _canonical_edges(n, edges):
-    seen = set()
-    out = []
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
-        if i == j:
-            raise ValueError(f"explicit self-loop ({i},{i}): self-loops are implicit")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-        out.append(key)
-    out.sort()
-    return tuple(out)
+    """Validated edges as sorted canonical ``(min, max)`` rows of an (m, 2) array."""
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    if len(edges) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    ends, bad = _node_ids(edges, n)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        k = next(k for k, e in enumerate(edges) if np.ndim(e) != 1 or len(e) != 2)
+        raise ValueError(f"edge {edges[k]!r} is not a pair of nodes")
+    if bad.any():
+        raise ValueError(f"edge {edges[int(np.argmax(bad.any(axis=1)))]!r} out of range "
+                         f"for n={n}: endpoints are integer node ids 0..{n - 1}")
+    loops = ends[:, 0] == ends[:, 1]
+    if loops.any():
+        i = int(ends[np.argmax(loops), 0])
+        raise ValueError(f"explicit self-loop ({i},{i}): self-loops are implicit")
+    ends = np.sort(ends, axis=1)
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    repeated = np.all(ends[1:] == ends[:-1], axis=1)
+    if repeated.any():
+        raise ValueError(f"duplicate edge {tuple(ends[np.argmax(repeated)].tolist())}")
+    return ends
+
+
+def _stars(n, ends):
+    """CSR stars: offsets, then per entry its node, neighbour (ascending) and edge id."""
+    owners = ends.T.ravel()
+    nodes = ends[:, ::-1].T.ravel()
+    order = np.lexsort((nodes, owners))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owners, minlength=n))])
+    return offsets, owners[order], nodes[order], np.tile(np.arange(len(ends)), 2)[order]
+
+
+def _connected(n, ends):
+    """Whether node 0 reaches every node: the reached set grows across crossing edges."""
+    reached = np.arange(n) == 0
+    while (crossing := reached[ends[:, 0]] != reached[ends[:, 1]]).any():
+        reached[ends[crossing]] = True
+    return bool(reached.all())
 
 
 class TransitionGraph:
     """Undirected graph with implicit self-loops and a stationary distribution.
 
-    Nodes are ``0..n-1``; ``edges`` holds canonical ``(min, max)`` pairs in
-    sorted order.  The graph must be connected and ``pi`` finite, strictly
-    positive and summing to one.
+    Nodes are ``0..n-1``.  The graph owns its edge layout as read-only arrays,
+    which every bound and lookup reads: ``ends`` holds the canonical
+    ``(min, max)`` pairs in sorted order (edge ids are its rows); node i's star
+    is positions ``star_offsets[i]:star_offsets[i + 1]`` of ``star_owners``
+    (i), ``star_nodes`` (its neighbours, ascending) and ``star_edges`` (their
+    edge ids).  The graph must be connected and ``pi`` finite, positive and
+    summing to one.
     """
 
     def __init__(self, n, edges, pi=None):
@@ -50,7 +94,7 @@ class TransitionGraph:
         if n < 1:
             raise ValueError("need at least one node")
         self.n = n
-        self.edges = _canonical_edges(n, edges)
+        self.ends = _canonical_edges(n, edges)
         if pi is None:
             pi = np.full(n, 1.0 / n)
         pi = np.asarray(pi, dtype=float).copy()
@@ -60,50 +104,38 @@ class TransitionGraph:
             raise ValueError("pi must be finite and strictly positive")
         if abs(pi.sum() - 1.0) > PI_SUM_TOL:
             raise ValueError(f"pi sums to {pi.sum()!r}, not 1 within {PI_SUM_TOL}")
-        pi.flags.writeable = False
         self.pi = pi
-
-        nbrs = [[] for _ in range(n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
-        self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        if not self._connected():
+        if not _connected(n, self.ends):
             raise ValueError("graph is not connected")
+        self.star_offsets, self.star_owners, self.star_nodes, self.star_edges = \
+            _stars(n, self.ends)
+        for array in (self.pi, self.ends, self.star_offsets, self.star_owners,
+                      self.star_nodes, self.star_edges):
+            array.flags.writeable = False
 
-    def _connected(self):
-        if self.n == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self._neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+    @functools.cached_property
+    def edges(self):
+        """Canonical ``(min, max)`` pairs in sorted order, as tuples."""
+        return tuple(map(tuple, self.ends.tolist()))
 
     def neighbors(self, i):
         """Sorted non-loop neighbors of node ``i``."""
-        return self._neighbors[i]
+        return tuple(self.star_nodes[self.star_offsets[i]:self.star_offsets[i + 1]].tolist())
 
     def degree(self, i):
-        return len(self._neighbors[i])
+        return int(self.star_offsets[i + 1] - self.star_offsets[i])
 
     def has_edge(self, i, j):
-        return i != j and j in self._neighbors[i]
+        return i != j and j in self.neighbors(i)
 
-    @property
+    @functools.cached_property
     def edge_index(self):
         """Mapping canonical edge -> position in ``self.edges``."""
-        return self._edge_index
+        return {e: k for k, e in enumerate(self.edges)}
 
     def incident_edges(self, i):
         """Indices into ``edges`` of the edges touching node ``i``."""
-        idx = self.edge_index
-        return [idx[(min(i, j), max(i, j))] for j in self._neighbors[i]]
+        return self.star_edges[self.star_offsets[i]:self.star_offsets[i + 1]].tolist()
 
     def uniform_pi(self, tol=1e-12):
         return bool(np.all(np.abs(self.pi - 1.0 / self.n) <= tol))
@@ -111,7 +143,7 @@ class TransitionGraph:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
-        return {"n": self.n, "edges": [list(e) for e in self.edges],
+        return {"n": self.n, "edges": self.ends.tolist(),
                 "pi": [float(p) for p in self.pi]}
 
     @classmethod
@@ -126,7 +158,7 @@ class TransitionGraph:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
     def __repr__(self):
-        return f"TransitionGraph(n={self.n}, m={len(self.edges)})"
+        return f"TransitionGraph(n={self.n}, m={len(self.ends)})"
 
 
 class ReversibleChain:
@@ -170,11 +202,10 @@ def validate_chain(chain):
     for i, j in neg:
         report.append(f"negative or non-finite entry P[{i},{j}] = {P[i, j]:.3e}")
 
-    off = ~np.eye(g.n, dtype=bool)
-    allowed = np.zeros((g.n, g.n), dtype=bool)
-    for i, j in g.edges:
-        allowed[i, j] = allowed[j, i] = True
-    bad = np.argwhere(off & ~allowed & ~(np.abs(P) <= NONNEG_TOL))
+    ei, ej = g.ends.T
+    allowed = np.eye(g.n, dtype=bool)
+    allowed[ei, ej] = allowed[ej, ei] = True
+    bad = np.argwhere(~allowed & ~(np.abs(P) <= NONNEG_TOL))
     for i, j in bad:
         report.append(f"mass {P[i, j]:.3e} on non-edge ({i},{j})")
 
@@ -197,11 +228,15 @@ def edge_flow(chain, i, j):
 
 
 def max_closed_neighborhood_mass(graph):
-    """``pi_*``: the largest pi-mass of a closed neighborhood {i} + N(i)."""
+    """``pi_*``: the largest pi-mass of a closed neighborhood {i} + N(i).
+
+    Each neighbourhood is summed in ascending neighbour order, from 0.0
+    (``bincount`` adds its weights in input order).
+    """
     pi = graph.pi
-    closed = np.array([pi[i] + sum(pi[j] for j in graph.neighbors(i))
-                       for i in range(graph.n)])
-    return closed.max()
+    neighborhood = np.bincount(graph.star_owners, weights=pi[graph.star_nodes],
+                               minlength=graph.n)
+    return (pi + neighborhood).max()
 
 
 def max_degree_chain(graph):
@@ -213,10 +248,10 @@ def max_degree_chain(graph):
     """
     pi = graph.pi
     pi_star = max_closed_neighborhood_mass(graph)
+    ei, ej = graph.ends.T
     P = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        P[i, j] = pi[j] / pi_star
-        P[j, i] = pi[i] / pi_star
+    P[ei, ej] = pi[ej] / pi_star
+    P[ej, ei] = pi[ei] / pi_star
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
     return ReversibleChain(graph, P)
 
@@ -229,10 +264,9 @@ def symmetric_walk(graph):
     """
     if not graph.uniform_pi():
         raise ValueError("symmetric walk requires a uniform stationary distribution")
+    degree = np.diff(graph.star_offsets)
     P = np.zeros((graph.n, graph.n))
-    for i in range(graph.n):
-        for j in graph.neighbors(i):
-            P[i, j] = 1.0 / graph.degree(i)
+    P[graph.star_owners, graph.star_nodes] = 1.0 / degree[graph.star_owners]
     return ReversibleChain(graph, P)
 
 
@@ -243,12 +277,12 @@ def chain_from_flows(graph, flow_by_edge):
     callers are responsible for keeping row budgets nonnegative.
     """
     q = np.asarray(flow_by_edge, dtype=float)
-    if q.shape != (len(graph.edges),):
+    if q.shape != (len(graph.ends),):
         raise ValueError("need one flow value per edge")
+    ei, ej = graph.ends.T
     P = np.zeros((graph.n, graph.n))
-    for k, (i, j) in enumerate(graph.edges):
-        P[i, j] = q[k] / graph.pi[i]
-        P[j, i] = q[k] / graph.pi[j]
+    P[ei, ej] = q / graph.pi[ei]
+    P[ej, ei] = q / graph.pi[ej]
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
     return ReversibleChain(graph, P)
 
@@ -261,8 +295,7 @@ def saturate_flows(graph, flows, sweeps=500, tol=1e-15):
     Useful because the second eigenvalue never increases when flow is added.
     """
     q = np.asarray(flows, dtype=float).copy()
-    ei = np.array([e[0] for e in graph.edges])
-    ej = np.array([e[1] for e in graph.edges])
+    ei, ej = graph.ends.T
     resid = graph.pi.copy()
     np.subtract.at(resid, ei, q)
     np.subtract.at(resid, ej, q)
@@ -291,8 +324,9 @@ def fit_to_budgets(graph, q):
     For nonnegative flows one ordered pass suffices, because scaling a star
     only shrinks the sums of the stars that share its edges.
     """
+    offsets = graph.star_offsets
     for i in range(graph.n):
-        idx = graph.incident_edges(i)
+        idx = graph.star_edges[offsets[i]:offsets[i + 1]]
         total = q[idx].sum()
         if total > graph.pi[i]:
             q[idx] *= graph.pi[i] / total

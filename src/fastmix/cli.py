@@ -33,10 +33,6 @@ def _emit(data, args):
             print(",".join(str(v) for v in row.values()))
 
 
-def _load_graph(path):
-    return TransitionGraph.load(path)
-
-
 def _family_params(args):
     params = {}
     for pair in args.param or []:
@@ -72,7 +68,7 @@ def _chain_for(args, graph):
 
 
 def cmd_spectral(args):
-    graph = _load_graph(args.graph)
+    graph = TransitionGraph.load(args.graph)
     chain = _chain_for(args, graph)
     report = validate_chain(chain)
     if report:
@@ -83,7 +79,7 @@ def cmd_spectral(args):
 
 
 def cmd_lower(args):
-    graph = _load_graph(args.graph)
+    graph = TransitionGraph.load(args.graph)
     payload = {}
     if graph.n <= lower_bounds.EXHAUSTIVE_NODE_CAP:
         bound = lower_bounds.expansion_lower_bound(graph)
@@ -98,7 +94,7 @@ def cmd_lower(args):
 
 
 def cmd_upper(args):
-    graph = _load_graph(args.graph)
+    graph = TransitionGraph.load(args.graph)
     paths = upper_bounds.shortest_path_system(graph)
     loads = upper_bounds.path_loads(graph, paths)
     equalized = upper_bounds.equalize_congestion(graph, paths, loads)
@@ -114,7 +110,7 @@ def cmd_upper(args):
 
 
 def cmd_solve(args):
-    graph = _load_graph(args.graph)
+    graph = TransitionGraph.load(args.graph)
     config = SolverConfig(max_iters=args.iters)
     result = solve_fastest_mixing(graph, config)
     payload = result.to_json_dict()

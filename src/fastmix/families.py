@@ -10,6 +10,8 @@ Node numbering conventions (relied upon by the analytic embeddings):
 
 from __future__ import annotations
 
+import numpy as np
+
 from .chains import TransitionGraph
 from .glauber import SpinSystem, TreeSpec
 
@@ -18,13 +20,8 @@ def knkn_graph(n):
     """Two n-node complete graphs joined by a single edge, uniform pi."""
     if n < 2:
         raise ValueError("need n >= 2 per side")
-    edges = []
-    for side in (0, n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                edges.append((side + i, side + j))
-    edges.append((0, n))
-    return TransitionGraph(2 * n, edges)
+    edges = [(side + i, side + j) for side in (0, n) for i in range(n) for j in range(i + 1, n)]
+    return TransitionGraph(2 * n, edges + [(0, n)])
 
 
 def cycle_graph(n):
@@ -65,16 +62,10 @@ def torus_graph(m, d):
     """Nearest-neighbor graph of the d-dimensional m-point torus."""
     if m < 3 or d < 1:
         raise ValueError("need m >= 3, d >= 1")
-    n = m ** d
-    edges = set()
-    for i in range(n):
-        coords = torus_coordinates(i, m, d)
-        for axis in range(d):
-            nxt = list(coords)
-            nxt[axis] = (nxt[axis] + 1) % m
-            j = torus_index(nxt, m)
-            edges.add((min(i, j), max(i, j)))
-    return TransitionGraph(n, sorted(edges))
+    index = np.arange(m ** d).reshape((m,) * d)
+    steps = [np.roll(index, -1, axis=axis).ravel() for axis in range(d)]
+    return TransitionGraph(m ** d, np.column_stack([np.tile(index.ravel(), d),
+                                                    np.concatenate(steps)]))
 
 
 def geometric_graph(m, k, d=1):
@@ -85,15 +76,10 @@ def geometric_graph(m, k, d=1):
         raise ValueError("k must divide m")
     if d < 1:
         raise ValueError("need d >= 1")
-    n = m ** d
-    edges = []
-    for i in range(n):
-        ci = torus_coordinates(i, m, d)
-        for j in range(i + 1, n):
-            cj = torus_coordinates(j, m, d)
-            if all(min((a - b) % m, (b - a) % m) <= k for a, b in zip(ci, cj)):
-                edges.append((i, j))
-    return TransitionGraph(n, edges)
+    coords = np.array([torus_coordinates(i, m, d) for i in range(m ** d)])
+    gap = np.abs(coords[:, None] - coords[None, :])
+    near = np.all(np.minimum(gap, m - gap) <= k, axis=2)
+    return TransitionGraph(m ** d, np.argwhere(np.triu(near, 1)))
 
 
 def ising_tree(b, r, beta):
@@ -108,17 +94,22 @@ FAMILIES = ("knkn", "cycle", "torus", "geometric", "ising_tree", "custom")
 
 def generate(family, params):
     """Dispatch a family name + parameter dict to the matching generator."""
+
+    def need(key):
+        if key not in params:
+            raise ValueError(f"family {family!r} needs the parameter {key!r}")
+        return params[key]
+
     if family == "knkn":
-        return knkn_graph(int(params["n"]))
+        return knkn_graph(int(need("n")))
     if family == "cycle":
-        return cycle_graph(int(params["n"]))
+        return cycle_graph(int(need("n")))
     if family == "torus":
-        return torus_graph(int(params["m"]), int(params["d"]))
+        return torus_graph(int(need("m")), int(need("d")))
     if family == "geometric":
-        return geometric_graph(int(params["m"]), int(params["k"]),
-                               int(params.get("d", 1)))
+        return geometric_graph(int(need("m")), int(need("k")), int(params.get("d", 1)))
     if family == "ising_tree":
-        return ising_tree(int(params["b"]), int(params["r"]), float(params["beta"]))
+        return ising_tree(int(need("b")), int(need("r")), float(need("beta")))
     if family == "custom":
-        return TransitionGraph.load(params["path"])
+        return TransitionGraph.load(need("path"))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")

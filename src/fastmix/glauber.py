@@ -28,11 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ReversibleChain, TransitionGraph
+from .chains import ReversibleChain, TransitionGraph, _canonical_edges, _stars
 from .spectral import spectrum
 
 STATE_SPACE_CAP = 2 ** 20
 RATE_SUM_TOL = 1e-12
+EXACT_MAJORITY_LEVELS = 2      # majority_cut_bound enumerates trees up to this depth
 
 
 class SpinSystem:
@@ -49,27 +50,14 @@ class SpinSystem:
         self.n_sites = int(n_sites)
         if self.n_sites < 1:
             raise ValueError("need at least one site")
-        seen = set()
-        canon = []
-        for v, w in edges:
-            v, w = int(v), int(w)
-            if v == w or not (0 <= v < n_sites and 0 <= w < n_sites):
-                raise ValueError(f"bad site edge ({v},{w})")
-            key = (min(v, w), max(v, w))
-            if key in seen:
-                raise ValueError(f"duplicate site edge {key}")
-            seen.add(key)
-            canon.append(key)
-        self.edges = tuple(sorted(canon))
+        ends = _canonical_edges(self.n_sites, edges)
+        self.edges = tuple(map(tuple, ends.tolist()))
         self.colors = tuple(colors)
         if len(self.colors) < 2:
             raise ValueError("need at least two colors")
         self.beta = beta
-        nbrs = [[] for _ in range(self.n_sites)]
-        for v, w in self.edges:
-            nbrs[v].append(w)
-            nbrs[w].append(v)
-        self.neighbors = tuple(tuple(sorted(a)) for a in nbrs)
+        offsets, _, nodes, _ = _stars(self.n_sites, ends)
+        self.neighbors = tuple(tuple(star.tolist()) for star in np.split(nodes, offsets[1:-1]))
         self.tables = {}
         for v, w in self.edges:
             table = np.array([[coupling(v, w, a, b) for b in self.colors]
@@ -155,7 +143,7 @@ def configuration_graph(system):
             up = digits[:, v] < c
             src.append(states[up])
             dst.append(_move_targets(system, digits, v, c)[up])
-    edges = zip(np.concatenate(src).tolist(), np.concatenate(dst).tolist())
+    edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
     return TransitionGraph(system.n_states, edges, _gibbs(system, digits))
 
 
@@ -540,15 +528,15 @@ class MajorityCutBound:
     exact: Optional[ExactMajorityStats]
 
 
-def majority_cut_bound(tree, beta, enumerate_cap_levels=2):
+def majority_cut_bound(tree, beta):
     """Lower bounds from the recursive-majority cut S = {m(sigma) = +1}.
 
     Works for branching 3.  With eps = (1 + e^{2 beta})^{-1}, a fixed-leaf
     flip changes the majority with probability at most
     (2 eps + 8 eps^2)^{r-1}; a union bound over the 3^r leaves and the spin
     flip symmetry (pi(S) = 1/2) then cap the cut boundary, and the
-    vertex-expansion bound turns that into lambda2 lower bounds.  For r <= 2
-    the same quantities are also enumerated exactly.
+    vertex-expansion bound turns that into lambda2 lower bounds.  For r up to
+    ``EXACT_MAJORITY_LEVELS`` the same quantities are also enumerated exactly.
     """
     if tree.branching != 3:
         raise ValueError("the majority-cut analysis assumes branching 3")
@@ -561,7 +549,7 @@ def majority_cut_bound(tree, beta, enumerate_cap_levels=2):
     uniform_lower = 1.0 - 2.0 * flip_bound
 
     exact = None
-    if r <= enumerate_cap_levels:
+    if r <= EXACT_MAJORITY_LEVELS:
         # the general constructor also covers the infinite-temperature edge case
         system = SpinSystem(tree.node_count, tree.site_edges(), colors=(-1, +1),
                             coupling=lambda v, w, a, b: math.exp(beta * a * b),

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .chains import _node_ids
 from .families import torus_coordinates
 
 FEASIBILITY_SLACK = 1e-9   # constructions hit constraints with equality
@@ -90,12 +91,12 @@ def embedding_violations(graph, emb, slack=FEASIBILITY_SLACK):
         report.append(f"slack normalization sum pi(i)w(i) = {norm!r}")
     for i in np.nonzero(~(emb.slacks >= -1e-12))[0]:
         report.append(f"negative slack w({i}) = {emb.slacks[i]:.3e}")
-    for i, j in graph.edges:
-        d2 = float(np.sum((emb.vectors[i] - emb.vectors[j]) ** 2))
-        budget = emb.slacks[i] + emb.slacks[j]
-        if not (d2 <= budget + slack):
-            report.append(
-                f"edge ({i},{j}): squared distance {d2!r} exceeds w(i)+w(j) = {budget!r}")
+    ei, ej = graph.ends.T
+    d2 = np.sum((emb.vectors[ei] - emb.vectors[ej]) ** 2, axis=1)
+    budget = emb.slacks[ei] + emb.slacks[ej]
+    for k in np.nonzero(~(d2 <= budget + slack))[0]:
+        report.append(f"edge ({ei[k]},{ej[k]}): squared distance {float(d2[k])!r} "
+                      f"exceeds w(i)+w(j) = {budget[k]!r}")
     return report
 
 
@@ -127,10 +128,9 @@ def specified_chain_bound(chain, vectors):
     scale = max(1.0, float(np.abs(vectors).max()))
     if not (center <= 1e-9 * scale):
         raise ValueError(f"vectors not centered under pi: |sum| = {center:.3e}")
-    dirichlet = 0.0
-    for i, j in chain.graph.edges:
-        d2 = float(np.sum((vectors[i] - vectors[j]) ** 2))
-        dirichlet += d2 * pi[i] * chain.P[i, j]
+    ei, ej = chain.graph.ends.T
+    d2 = np.sum((vectors[ei] - vectors[ej]) ** 2, axis=1)
+    dirichlet = float(np.sum(d2 * pi[ei] * chain.P[ei, ej]))
     if not (dirichlet > 1e-300):
         raise ValueError("degenerate input: all vectors equal across every edge")
     return float(pi @ np.sum(vectors ** 2, axis=1)) / dirichlet
@@ -141,17 +141,15 @@ def specified_chain_bound(chain, vectors):
 _BLOCK_BITS = 9             # 2^9 subsets per evaluated block
 
 
-def _node_ids(subset, n):
+def _subset_ids(subset, n):
     """Node ids of one candidate subset, rejecting anything that is not a node."""
-    ids = []
-    for v in subset:
-        try:
-            k = int(v)
-        except (TypeError, ValueError, OverflowError):
-            k = None
-        if k is None or k != v or not 0 <= k < n:
-            raise ValueError(f"candidate node {v!r} is not a node of the graph (0..{n - 1})")
-        ids.append(k)
+    subset = list(subset)
+    ids, bad = _node_ids(subset, n)
+    if ids.ndim != 1:                     # nested entries are no nodes
+        bad = np.ones(len(subset), dtype=bool)
+    if bad.any():
+        raise ValueError(f"candidate node {subset[int(np.argmax(bad))]!r} is not a node "
+                         f"of the graph (0..{n - 1})")
     return ids
 
 
@@ -163,7 +161,7 @@ def _candidate_blocks(n, candidates):
         chunk = candidates[start:start + width]
         member = np.zeros((n, len(chunk)), dtype=bool)
         for col, subset in enumerate(chunk):
-            member[_node_ids(subset, n), col] = True
+            member[_subset_ids(subset, n), col] = True
         sizes = member.sum(axis=0)
         if np.any((sizes == 0) | (sizes == n)):
             raise ValueError("candidate subsets must be proper and nonempty")
@@ -239,10 +237,6 @@ def _lex_smallest(member):
     return tuple(np.flatnonzero(member[:, cols[0]]).tolist())
 
 
-def _edge_array(graph):
-    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-
-
 def vertex_expansion(graph, candidates=None):
     """Weighted vertex expansion: min over cuts of pi(dS)/(pi(S) ^ pi(S^c)).
 
@@ -259,9 +253,9 @@ def vertex_expansion(graph, candidates=None):
         raise ValueError(
             f"n={n} too large for exhaustive search (cap {EXHAUSTIVE_NODE_CAP}); "
             "pass a candidate subset list")
+    ei, ej = graph.ends.T
     adjacency = np.zeros((n, n), dtype=np.float32)
-    ends = _edge_array(graph)
-    adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = 1.0
+    adjacency[ei, ej] = adjacency[ej, ei] = 1.0
     blocks = _all_subsets(n) if candidates is None else _candidate_blocks(n, candidates)
 
     best_ratio = math.inf
@@ -305,7 +299,7 @@ def expansion_lower_bound(graph, candidates=None):
     subset = tuple(np.flatnonzero(in_s).tolist())
 
     # inner boundary: the nodes of S with a neighbour outside S
-    ends = _edge_array(graph)
+    ends = graph.ends
     inner = np.zeros(n, dtype=bool)
     inner[ends[in_s[ends[:, 0]] != in_s[ends[:, 1]]].ravel()] = True
     inner &= in_s

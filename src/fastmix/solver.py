@@ -128,20 +128,19 @@ class _Barrier:
     """
 
     def __init__(self, graph):
-        n, m = graph.n, len(graph.edges)
-        self.graph, self.n, self.pi = graph, n, graph.pi
-        self.ei = np.array([e[0] for e in graph.edges])
-        self.ej = np.array([e[1] for e in graph.edges])
+        m = len(graph.ends)
+        self.graph, self.n, self.pi = graph, graph.n, graph.pi
+        self.ei, self.ej = graph.ends.T
         self.root = np.sqrt(self.pi)
         self.inv_root = 1.0 / self.root
         self.uu = np.outer(self.root, self.root)
         # the load barrier's Hessian adds 1/s_k^2 at (e, f) for every pair of
         # edges meeting at node k: their flat positions in the (m+1)^2
-        # Hessian, and k
-        stars = [np.nonzero((self.ei == k) | (self.ej == k))[0] for k in range(n)]
-        self._star_index = np.concatenate([(e[:, None] * (m + 1) + e[None, :]).ravel()
-                                           for e in stars])
-        self._star_node = np.repeat(np.arange(n), [len(e) ** 2 for e in stars])
+        # Hessian, star by star and row-major within a star, and k
+        owners = graph.star_owners
+        e, f = np.nonzero(owners[:, None] == owners[None, :])   # star entry pairs
+        self._star_index = graph.star_edges[e] * (m + 1) + graph.star_edges[f]
+        self._star_node = owners[e]
 
     def loads(self, q):
         return (np.bincount(self.ei, weights=q, minlength=self.n)
@@ -376,15 +375,14 @@ def grid_oracle(graph, resolution):
     point respecting the node budgets is evaluated with a batched
     eigensolver and the minimizer is returned.
     """
-    m = len(graph.edges)
+    m = len(graph.ends)
     if m > GRID_MAX_EDGES:
         raise ValueError(f"{m} free edge flows exceed the grid oracle cap of {GRID_MAX_EDGES}")
     if not (1 <= resolution <= GRID_MAX_RESOLUTION):
         raise ValueError(f"resolution must be in 1..{GRID_MAX_RESOLUTION}")
     n, pi = graph.n, graph.pi
     sqrt_pi = np.sqrt(pi)
-    ei = np.array([e[0] for e in graph.edges])
-    ej = np.array([e[1] for e in graph.edges])
+    ei, ej = graph.ends.T
 
     caps = np.minimum(pi[ei], pi[ej])
     axes = [np.linspace(0.0, c, resolution + 1) for c in caps]

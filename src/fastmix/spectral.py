@@ -143,7 +143,5 @@ def rayleigh_quotient(chain, g):
     var = float(pi @ (g - mean) ** 2)
     if var <= 1e-300:
         raise ValueError("g is constant pi-a.e.: zero variance")
-    num = 0.0
-    for i, j in chain.graph.edges:
-        num += (g[i] - g[j]) ** 2 * pi[i] * chain.P[i, j]
-    return num / var
+    ei, ej = chain.graph.ends.T
+    return float(np.sum((g[ei] - g[ej]) ** 2 * pi[ei] * chain.P[ei, ej])) / var

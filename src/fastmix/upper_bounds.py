@@ -85,9 +85,9 @@ class PathSystem:
 def _distances(graph):
     """All-pairs hop distances by breadth-first frontiers of the adjacency matrix."""
     n = graph.n
+    ei, ej = graph.ends.T
     adjacency = np.zeros((n, n))
-    for i, j in graph.edges:
-        adjacency[i, j] = adjacency[j, i] = 1.0
+    adjacency[ei, ej] = adjacency[ej, ei] = 1.0
     dist = np.where(np.eye(n, dtype=bool), 0, -1)
     frontier = np.eye(n)
     level = 0
@@ -109,15 +109,15 @@ def shortest_path_system(graph):
     dist = _distances(graph)
     first, second = np.triu_indices(n, 1)
     length = dist[first, second]
-    degree = max((graph.degree(i) for i in range(n)), default=0)
-    # neighbors are sorted, so the first admissible column is the
-    # lexicographic choice; padding columns are never admissible
-    neighbors = np.zeros((n, max(degree, 1)), dtype=np.int64)
-    real = np.zeros((n, max(degree, 1)), dtype=bool)
-    for i in range(n):
-        row = graph.neighbors(i)
-        neighbors[i, :len(row)] = row
-        real[i, :len(row)] = True
+    # row i holds i's star: neighbors are sorted, so the first admissible
+    # column is the lexicographic choice; padding columns are never admissible
+    owners = graph.star_owners
+    column = np.arange(len(owners)) - graph.star_offsets[owners]
+    width = int(column.max(initial=0)) + 1
+    neighbors = np.zeros((n, width), dtype=np.int64)
+    real = np.zeros((n, width), dtype=bool)
+    neighbors[owners, column] = graph.star_nodes
+    real[owners, column] = True
     longest = int(length.max()) if length.size else 0
     walk = np.zeros((len(first), longest + 1), dtype=np.int32)
     walk[:, 0] = first
@@ -140,16 +140,16 @@ def path_loads(graph, paths):
 
     Contributions are summed per edge in pair order, then hop order.
     """
-    pi, n, m = graph.pi, graph.n, len(graph.edges)
+    pi, n, m = graph.pi, graph.n, len(graph.ends)
     nodes, offsets = paths.nodes, paths.offsets
     first, second = np.triu_indices(n, 1)
     hops = np.diff(offsets) - 1
     # consecutive positions of ``nodes`` form a hop, except where one path
     # ends and the next begins: those steps weigh 0, and land in the spare
     # bin m when they are no edge
+    ei, ej = graph.ends.T
     edge_id = np.full((n, n), m)
-    for k, (i, j) in enumerate(graph.edges):
-        edge_id[i, j] = edge_id[j, i] = k
+    edge_id[ei, ej] = edge_id[ej, ei] = np.arange(m)
     weight = np.repeat(pi[first] * pi[second] * hops, hops + 1)[:-1]
     weight[offsets[1:-1] - 1] = 0.0
     return np.bincount(edge_id[nodes[:-1], nodes[1:]], weights=weight,
@@ -180,23 +180,16 @@ def congestion(chain, paths, loads=None):
     path loads W when the caller already has them.
     """
     graph = chain.graph
-    W = path_loads(graph, paths) if loads is None else loads
-    loads, ratios = {}, {}
-    rho_bar, argmax = 0.0, None
-    for k, (i, j) in enumerate(graph.edges):
-        q = graph.pi[i] * chain.P[i, j]
-        loads[(i, j)] = float(W[k])
-        if q > 0.0:
-            ratio = float(W[k] / q)
-        elif W[k] > 0.0:
-            ratio = math.inf
-        else:
-            ratio = 0.0
-        ratios[(i, j)] = ratio
-        if ratio > rho_bar or argmax is None:
-            rho_bar, argmax = ratio, (i, j)
-    return CongestionReport(edge_loads=loads, ratios=ratios,
-                            rho_bar=rho_bar, argmax_edge=argmax)
+    W = np.asarray(path_loads(graph, paths) if loads is None else loads)
+    ei, ej = graph.ends.T
+    q = graph.pi[ei] * chain.P[ei, ej]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(q > 0.0, W / q, np.where(W > 0.0, math.inf, 0.0))
+    worst = int(np.argmax(ratios)) if len(ratios) else None   # the first maximum
+    return CongestionReport(edge_loads=dict(zip(graph.edges, W.tolist())),
+                            ratios=dict(zip(graph.edges, ratios.tolist())),
+                            rho_bar=0.0 if worst is None else float(ratios[worst]),
+                            argmax_edge=None if worst is None else graph.edges[worst])
 
 
 def equalize_congestion(graph, paths, loads=None):
@@ -211,8 +204,14 @@ def equalize_congestion(graph, paths, loads=None):
     them.
     """
     W = path_loads(graph, paths) if loads is None else loads
-    stars = [graph.incident_edges(i) for i in range(graph.n)]
-    rho_star = max(W[stars[i]].sum() / graph.pi[i] for i in range(graph.n))
+    # W[star].sum() per star, rounded alike: that is 0.0 plus numpy's pairwise
+    # sum (unlike a sequential one from 8 terms up), which add.reduceat
+    # computes over stars led by a 0.0 each
+    owners = graph.star_owners
+    padded = np.zeros(len(owners) + graph.n)
+    padded[np.arange(len(owners)) + owners + 1] = W[graph.star_edges]
+    star_sums = np.add.reduceat(padded, graph.star_offsets[:-1] + np.arange(graph.n))
+    rho_star = (star_sums / graph.pi).max()
     return chain_from_flows(graph, saturate_flows(graph, W / rho_star))
 
 

@@ -6,10 +6,12 @@ key ones under a single fixed seed.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
 from fastmix.chains import ReversibleChain, TransitionGraph, validate_chain
+from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
 from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, shortest_path_system
 
@@ -131,3 +133,147 @@ def expansion_witness_reference(graph, s_min):
     slacks[inner] = w0
     sep = math.sqrt(w0)
     return subset, np.where(in_s, (1.0 - pi_s) * sep, -pi_s * sep), slacks
+
+
+# -- the graph zoo -------------------------------------------------------
+
+
+def uneven(graph, seed=0):
+    """The same graph under a seeded uneven pi."""
+    pi = np.random.default_rng(seed + graph.n).uniform(0.2, 1.0, size=graph.n)
+    return TransitionGraph(graph.n, graph.edges, pi / pi.sum())
+
+
+def tree(n, seed=0, uniform_pi=False):
+    return random_connected_graph(np.random.default_rng(seed + n), n,
+                                  extra_edge_prob=0.0, uniform_pi=uniform_pi)
+
+
+def random_graph(n, uniform_pi=False):
+    return random_connected_graph(np.random.default_rng(100 + n), n,
+                                  uniform_pi=uniform_pi)
+
+
+# n = 2..16; uniform-pi cycles, tori, complete graphs and linked cliques
+# have many equal ratios and exercise the tie rule
+REFERENCE_GRAPHS = (
+    [(f"cycle{n}", lambda n=n: cycle_graph(n)) for n in range(3, 17)]
+    + [(f"cycle{n}-uneven", lambda n=n: uneven(cycle_graph(n))) for n in (4, 7, 10, 13, 16)]
+    + [(f"torus{m}x{m}", lambda m=m: torus_graph(m, 2)) for m in (3, 4)]
+    + [(f"torus{m}x{m}-uneven", lambda m=m: uneven(torus_graph(m, 2))) for m in (3, 4)]
+    + [(f"knkn{n}", lambda n=n: knkn_graph(n)) for n in range(2, 9)]
+    + [(f"knkn{n}-uneven", lambda n=n: uneven(knkn_graph(n))) for n in (3, 5)]
+    + [(f"complete{n}", lambda n=n: complete_graph(n)) for n in range(2, 13)]
+    + [(f"complete{n}-uneven", lambda n=n: uneven(complete_graph(n))) for n in (5, 9)]
+    + [(f"tree{n}-uneven", lambda n=n: tree(n)) for n in range(2, 17)]
+    + [(f"tree{n}", lambda n=n: tree(n, uniform_pi=True)) for n in (5, 9, 13)]
+    + [(f"random{n}-uneven", lambda n=n: random_graph(n)) for n in (6, 11, 16)]
+    + [(f"random{n}", lambda n=n: random_graph(n, uniform_pi=True)) for n in (8, 12)]
+)
+
+
+# -- scalar references for the edge layout ---------------------------------
+# The per-edge and per-node loops that the graph's edge arrays replaced.
+
+
+def canonical_edges_reference(n, edges):
+    """Sorted canonical (min, max) pairs of valid integer edges, by a loop."""
+    seen = set()
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"explicit self-loop ({i},{i}): self-loops are implicit")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+    return tuple(sorted(seen))
+
+
+def connected_reference(n, edges):
+    """Breadth-first search from node 0 over the neighbor lists."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for v in nbrs[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == n
+
+
+def closed_neighborhood_mass_reference(graph):
+    """pi_*, each neighborhood summed by ``sum`` in ascending neighbor order."""
+    pi = graph.pi
+    return np.array([pi[i] + sum(pi[j] for j in graph.neighbors(i))
+                     for i in range(graph.n)]).max()
+
+
+def max_degree_chain_reference(graph):
+    """P of the max-degree chain, filled edge by edge."""
+    pi = graph.pi
+    pi_star = closed_neighborhood_mass_reference(graph)
+    P = np.zeros((graph.n, graph.n))
+    for i, j in graph.edges:
+        P[i, j] = pi[j] / pi_star
+        P[j, i] = pi[i] / pi_star
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return P
+
+
+def chain_from_flows_reference(graph, q):
+    """P of the chain with edge flows ``q``, filled edge by edge."""
+    P = np.zeros((graph.n, graph.n))
+    for k, (i, j) in enumerate(graph.edges):
+        P[i, j] = q[k] / graph.pi[i]
+        P[j, i] = q[k] / graph.pi[j]
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return P
+
+
+def support_reference(graph):
+    """validate_chain's support: off-diagonal entries allowed mass, edge by edge."""
+    allowed = np.zeros((graph.n, graph.n), dtype=bool)
+    for i, j in graph.edges:
+        allowed[i, j] = allowed[j, i] = True
+    return allowed
+
+
+def congestion_reference(chain, W):
+    """Per-edge loads and ratios, rho_bar and the first worst edge, by a loop."""
+    graph = chain.graph
+    loads, ratios = {}, {}
+    rho_bar, argmax = 0.0, None
+    for k, (i, j) in enumerate(graph.edges):
+        q = graph.pi[i] * chain.P[i, j]
+        loads[(i, j)] = float(W[k])
+        if q > 0.0:
+            ratio = float(W[k] / q)
+        elif W[k] > 0.0:
+            ratio = math.inf
+        else:
+            ratio = 0.0
+        ratios[(i, j)] = ratio
+        if ratio > rho_bar or argmax is None:
+            rho_bar, argmax = ratio, (i, j)
+    return loads, ratios, rho_bar, argmax
+
+
+def dirichlet_reference(chain, vectors):
+    """sum over edges of |psi(i) - psi(j)|^2 pi(i) P(i, j), added edge by edge."""
+    vectors = np.asarray(vectors, dtype=float).reshape(chain.graph.n, -1)
+    total = 0.0
+    for i, j in chain.graph.edges:
+        total += float(np.sum((vectors[i] - vectors[j]) ** 2)) * chain.pi[i] * chain.P[i, j]
+    return total
+
+
+def equalized_rho_reference(graph, W):
+    """rho* of equalize_congestion: numpy's sum over each star's edge list."""
+    stars = [graph.incident_edges(i) for i in range(graph.n)]
+    return max(W[stars[i]].sum() / graph.pi[i] for i in range(graph.n))

@@ -1,15 +1,27 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastmix.chains import (ReversibleChain, TransitionGraph, edge_flow,
-                            fit_to_budgets, load_chain_csv, max_degree_chain,
-                            save_chain_csv, symmetric_walk, validate_chain)
+from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
+                            edge_flow, fit_to_budgets, load_chain_csv,
+                            max_closed_neighborhood_mass, max_degree_chain,
+                            saturate_flows, save_chain_csv, symmetric_walk,
+                            validate_chain)
 from fastmix.families import cycle_graph, complete_graph, knkn_graph, torus_graph
-from fastmix.upper_bounds import equalize_congestion, shortest_path_system
-from helpers import random_connected_graph, random_valid_chain
+from fastmix.lower_bounds import specified_chain_bound
+from fastmix.spectral import rayleigh_quotient
+from fastmix.upper_bounds import (congestion, equalize_congestion, path_loads,
+                                  shortest_path_system)
+from helpers import (REFERENCE_GRAPHS, canonical_edges_reference,
+                     chain_from_flows_reference, closed_neighborhood_mass_reference,
+                     congestion_reference, connected_reference,
+                     dirichlet_reference, equalized_rho_reference, max_degree_chain_reference,
+                     random_connected_graph, random_valid_chain, support_reference)
 
 
 def flip_chain():
@@ -50,6 +62,139 @@ class TestTransitionGraph:
         g = TransitionGraph(3, [(2, 1), (1, 0), (0, 2)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
         assert g.neighbors(1) == (0, 2)
+
+    @pytest.mark.parametrize("edge", [[0, 1.9], (0, 1, 5), ("0", "1"), (0, None),
+                                      (0, math.inf), (0, math.nan), (0,), [0, [1]]])
+    def test_rejects_malformed_edges(self, edge):
+        # each of these used to be truncated to an edge (0, 1) or to crash
+        with pytest.raises(ValueError, match=re.escape(repr(edge))):
+            TransitionGraph(3, [(1, 2), edge])
+
+    def test_accepts_integral_numbers_and_arrays(self):
+        expected = TransitionGraph(3, [(0, 1), (1, 2)])
+        for edges in ([(0.0, 1), (np.int32(2), 1.0)],
+                      np.array([[1, 0], [2, 1]]), np.array([[0.0, 1.0], [1.0, 2.0]]),
+                      ((i, i + 1) for i in range(2))):
+            g = TransitionGraph(3, edges)
+            assert g.edges == expected.edges and g.ends.dtype == np.int64
+
+    def test_edge_arrays_are_read_only(self):
+        g = knkn_graph(3)
+        for array in (g.ends, g.star_offsets, g.star_owners, g.star_nodes, g.star_edges):
+            assert not array.flags.writeable
+        assert g.ends.shape == (len(g.edges), 2)
+        assert g.star_offsets[-1] == 2 * len(g.edges)
+
+
+def layout_checks(graph):
+    """The edge arrays and everything read from them, against the loops of ``helpers``."""
+    rng = np.random.default_rng(graph.n)
+    n, edges = graph.n, graph.edges
+    # canonicalization and connectivity, from flipped and shuffled input
+    given_edges = [(j, i) if rng.random() < 0.5 else (i, j)
+                   for i, j in rng.permutation(np.array(edges, dtype=int).reshape(-1, 2))]
+    assert TransitionGraph(n, given_edges, graph.pi).edges == \
+        canonical_edges_reference(n, given_edges) == edges
+    assert connected_reference(n, edges)
+    for i in range(n):
+        assert graph.neighbors(i) == tuple(sorted({j for e in edges if i in e
+                                                   for j in e if j != i}))
+        assert graph.incident_edges(i) == [graph.edge_index[(min(i, j), max(i, j))]
+                                           for j in graph.neighbors(i)]
+    pi_star = max_closed_neighborhood_mass(graph)
+    assert pi_star.hex() == closed_neighborhood_mass_reference(graph).hex()
+    assert max_degree_chain(graph).P.tobytes() == max_degree_chain_reference(graph).tobytes()
+    q = rng.uniform(0.0, 1.0, size=len(edges)) * graph.pi.min() / max(n - 1, 1)
+    assert chain_from_flows(graph, q).P.tobytes() == \
+        chain_from_flows_reference(graph, q).tobytes()
+    # every off-diagonal entry carries mass: the non-edges are reported
+    allowed = support_reference(graph) | np.eye(n, dtype=bool)
+    report = validate_chain(ReversibleChain(graph, np.full((n, n), 1.0 / n)))
+    assert [msg for msg in report if "non-edge" in msg] == \
+        [f"mass {1.0 / n:.3e} on non-edge ({i},{j})" for i, j in np.argwhere(~allowed)]
+    if n > 1:
+        # these two sum their edge terms in a different order: equal up to rounding
+        chain = max_degree_chain(graph)
+        g = rng.normal(size=n)
+        var = float(graph.pi @ (g - graph.pi @ g) ** 2)
+        assert rayleigh_quotient(chain, g) == \
+            pytest.approx(dirichlet_reference(chain, g) / var, rel=1e-12)
+        psi = rng.normal(size=(n, 3))
+        psi -= graph.pi @ psi
+        assert specified_chain_bound(chain, psi) == pytest.approx(
+            float(graph.pi @ np.sum(psi ** 2, axis=1)) / dirichlet_reference(chain, psi),
+            rel=1e-12)
+        paths = shortest_path_system(graph)
+        W = path_loads(graph, paths)
+        rho = equalized_rho_reference(graph, W)
+        equalized = equalize_congestion(graph, paths, W)
+        assert equalized.P.tobytes() == \
+            chain_from_flows(graph, saturate_flows(graph, W / rho)).P.tobytes()
+        for chain in (equalized, max_degree_chain(graph)):
+            report = congestion(chain, paths, W)
+            loads, ratios, rho_bar, argmax = congestion_reference(chain, W)
+            assert (report.edge_loads, report.ratios, report.argmax_edge) == \
+                (loads, ratios, argmax)
+            assert report.rho_bar.hex() == rho_bar.hex()
+
+
+def uneven_pi(rng, n):
+    pi = rng.uniform(0.05, 1.0, size=n)
+    return pi / pi.sum()
+
+
+# stars of degree >= 8 make numpy's pairwise sums differ from sequential ones
+LAYOUT_GRAPHS = REFERENCE_GRAPHS + [
+    ("star20-uneven", lambda: TransitionGraph(
+        20, [(0, k) for k in range(1, 20)], uneven_pi(np.random.default_rng(1), 20))),
+    ("path20-uneven", lambda: TransitionGraph(
+        20, [(k, k + 1) for k in range(19)], uneven_pi(np.random.default_rng(2), 20))),
+    ("complete16-uneven", lambda: TransitionGraph(
+        16, complete_graph(16).edges, uneven_pi(np.random.default_rng(3), 16))),
+    ("single-node", lambda: TransitionGraph(1, [])),
+]
+
+
+@st.composite
+def layout_graphs(draw):
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["sparse", "dense", "star", "path", "complete"]))
+    if shape == "star":
+        edges = [(0, k) for k in range(1, n)]
+    elif shape == "path":
+        edges = [(k, k + 1) for k in range(n - 1)]
+    elif shape == "complete":
+        edges = complete_graph(n).edges
+    else:
+        edges = random_connected_graph(
+            rng, n, extra_edge_prob=0.15 if shape == "sparse" else 0.7).edges
+    return TransitionGraph(n, edges, uneven_pi(rng, n))
+
+
+class TestEdgeLayoutReference:
+    """Array expressions over the graph's edge arrays against the loops they replaced."""
+
+    @pytest.mark.parametrize("build", [b for _, b in LAYOUT_GRAPHS],
+                             ids=[name for name, _ in LAYOUT_GRAPHS])
+    def test_zoo_bitwise(self, build):
+        layout_checks(build())
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout_graphs())
+    def test_random_graphs_bitwise(self, graph):
+        layout_checks(graph)
+
+    def test_zoo_has_wide_stars(self):
+        # the sequential and pairwise sums part ways from 8 terms up
+        widest = max(int(np.diff(build().star_offsets).max(initial=0))
+                     for _, build in LAYOUT_GRAPHS)
+        assert widest >= 15
+
+    def test_disconnected_reference_agrees(self):
+        assert not connected_reference(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="connected"):
+            TransitionGraph(4, [(0, 1), (2, 3)])
 
 
 class TestValidateChain:

@@ -380,5 +380,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
 
+    def test_malformed_edge_exit_code(self, tmp_path, capsys):
+        # [0, 1.9] used to be read as the edge (0, 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "edges": [[0, 1.9]]}')
+        assert cli.main(["spectral", str(bad)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "[0, 1.9]" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command, missing", [
+        (["gen", "--family", "knkn"], "'n'"),
+        (["report", "--family", "torus", "--sweep", "m=6"], "'d'")])
+    def test_missing_family_parameter_exit_code(self, capsys, command, missing):
+        assert cli.main(command) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"family '{command[2]}' needs the parameter {missing}" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["spectral", "/nonexistent/g.json"]) == cli.EXIT_VALIDATION

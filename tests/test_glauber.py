@@ -62,6 +62,12 @@ class TestSpinSystem:
         with pytest.raises(ValueError, match="duplicate"):
             SpinSystem.ising(2, [(0, 1), (1, 0)], 1.0)
 
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0, 2), (0, 0), ("0", "1"), (0, 1, 2)])
+    def test_rejects_bad_site_edges(self, edge):
+        # the site edges go through the same node-id check as a graph's edges
+        with pytest.raises(ValueError, match="range|self-loop|pair"):
+            SpinSystem.ising(2, [edge], 1.0)
+
     def test_state_indexing_bit_convention(self):
         digits = state_color_indices(ising_edge(1.0))
         # +1 color has index 1, carried by bit v of the state index

@@ -17,8 +17,9 @@ from fastmix.lower_bounds import (Embedding, embedding_bound, embedding_violatio
                                   vertex_expansion)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from helpers import (expansion_witness_reference, random_connected_graph,
-                     random_valid_chain, vertex_expansion_reference)
+from helpers import (REFERENCE_GRAPHS, expansion_witness_reference,
+                     random_connected_graph, random_valid_chain,
+                     vertex_expansion_reference)
 
 SQ2 = math.sqrt(2.0)
 
@@ -148,40 +149,6 @@ class TestVertexExpansion:
         graph = random_connected_graph(rng, 25, extra_edge_prob=0.1)
         with pytest.raises(ValueError, match="candidate"):
             vertex_expansion(graph)
-
-
-def uneven(graph, seed=0):
-    """The same graph under a seeded uneven pi."""
-    pi = np.random.default_rng(seed + graph.n).uniform(0.2, 1.0, size=graph.n)
-    return TransitionGraph(graph.n, graph.edges, pi / pi.sum())
-
-
-def tree(n, seed=0, uniform_pi=False):
-    return random_connected_graph(np.random.default_rng(seed + n), n,
-                                  extra_edge_prob=0.0, uniform_pi=uniform_pi)
-
-
-def random_graph(n, uniform_pi=False):
-    return random_connected_graph(np.random.default_rng(100 + n), n,
-                                  uniform_pi=uniform_pi)
-
-
-# n = 2..16; uniform-pi cycles, tori, complete graphs and linked cliques
-# have many equal ratios and exercise the tie rule
-REFERENCE_GRAPHS = (
-    [(f"cycle{n}", lambda n=n: cycle_graph(n)) for n in range(3, 17)]
-    + [(f"cycle{n}-uneven", lambda n=n: uneven(cycle_graph(n))) for n in (4, 7, 10, 13, 16)]
-    + [(f"torus{m}x{m}", lambda m=m: torus_graph(m, 2)) for m in (3, 4)]
-    + [(f"torus{m}x{m}-uneven", lambda m=m: uneven(torus_graph(m, 2))) for m in (3, 4)]
-    + [(f"knkn{n}", lambda n=n: knkn_graph(n)) for n in range(2, 9)]
-    + [(f"knkn{n}-uneven", lambda n=n: uneven(knkn_graph(n))) for n in (3, 5)]
-    + [(f"complete{n}", lambda n=n: complete_graph(n)) for n in range(2, 13)]
-    + [(f"complete{n}-uneven", lambda n=n: uneven(complete_graph(n))) for n in (5, 9)]
-    + [(f"tree{n}-uneven", lambda n=n: tree(n)) for n in range(2, 17)]
-    + [(f"tree{n}", lambda n=n: tree(n, uniform_pi=True)) for n in (5, 9, 13)]
-    + [(f"random{n}-uneven", lambda n=n: random_graph(n)) for n in (6, 11, 16)]
-    + [(f"random{n}", lambda n=n: random_graph(n, uniform_pi=True)) for n in (8, 12)]
-)
 
 
 @st.composite
