@@ -20,6 +20,12 @@ STOCHASTIC_TOL = 1e-10  # row sums / detailed balance
 NONNEG_TOL = 1e-12      # entry nonnegativity and off-edge zeros
 
 
+def _integral(value):
+    """Whether ``value`` is a number equal to an integer: ``2`` and ``2.0``,
+    but not ``"2"``, None, ``2.9`` or a non-finite number."""
+    return isinstance(value, numbers.Real) and value % 1 == 0
+
+
 def _node_ids(values, n):
     """``values`` as int64 node ids (0 where masked), and the mask of the non-ids.
 
@@ -31,8 +37,8 @@ def _node_ids(values, n):
             bad = ~((values >= 0) & (values < n) & (values % 1 == 0))
         else:                               # judge the entries as given
             values = np.asarray(values, dtype=object)
-            bad = ~np.frompyfunc(lambda v: isinstance(v, numbers.Real) and v % 1 == 0
-                                 and 0 <= v < n, 1, 1)(values).astype(bool)
+            bad = ~np.frompyfunc(lambda v: _integral(v) and 0 <= v < n,
+                                 1, 1)(values).astype(bool)
     return np.where(bad, 0, values).astype(np.int64), bad
 
 
@@ -90,11 +96,16 @@ class TransitionGraph:
     """
 
     def __init__(self, n, edges, pi=None):
+        with np.errstate(invalid="ignore"):
+            if not _integral(n):
+                raise ValueError(f"node count {n!r} is not an integer")
         n = int(n)
         if n < 1:
             raise ValueError("need at least one node")
         self.n = n
         self.ends = _canonical_edges(n, edges)
+        if len(self.ends) < n - 1:          # before any array of n entries
+            raise ValueError("graph is not connected")
         if pi is None:
             pi = np.full(n, 1.0 / n)
         pi = np.asarray(pi, dtype=float).copy()
@@ -148,6 +159,11 @@ class TransitionGraph:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("graph data is not a JSON object")
+        for key in ("n", "edges"):
+            if key not in data:
+                raise ValueError(f"graph data lacks the key {key!r}")
         return cls(data["n"], data["edges"], data.get("pi"))
 
     def save(self, path):

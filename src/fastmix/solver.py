@@ -13,7 +13,7 @@ it: Newton steps on (q, gamma) centre the barrier problem at a parameter t,
 and t then grows by BARRIER_GROWTH (Vandenberghe and Boyd, SIAM Rev. 38,
 1996).
 
-Every centre yields a certified pair:
+A barrier centre yields a certified pair:
 
 * the primal: its flows, saturated to a maximal point of the node budgets,
   define a valid chain, whose relaxation time is read from LAPACK
@@ -27,8 +27,16 @@ Every centre yields a certified pair:
   vectors (a small LP), raised where rounding leaves an edge short, and
   ``embedding_bound`` evaluates the resulting embedding.
 
-The solve stops once the certified gap (tau - lb)/tau is at most
-CERTIFIED_GAP, once it stops improving, or after ``max_iters`` Newton steps.
+The barrier's own gap at a centre is nu/t, and the certified gap is a
+fraction of nu/(t gamma) that shrinks with it.  So a centre is certified
+only where even a certificate BARRIER_GROWTH^2 times sharper than
+nu/(t gamma) could meet CERTIFIED_GAP, and at the centres where the solve
+ends anyway: the first (a solve that starts at its optimum, as on a
+complete graph, is certified there), the one where the Newton budget runs
+out, and one where the centring took no step.  The solve stops once the
+certified gap (tau - lb)/tau is at most CERTIFIED_GAP, once it stops
+improving from one certificate to the next, or after ``max_iters`` Newton
+steps.
 A brute-force grid oracle over the same flow variables cross-checks
 instances with very few edges.
 """
@@ -80,6 +88,7 @@ class SolverResult:
     lower_bound <= optimal tau2 <= tau2_star, and ``certified_gap`` is
     (tau2_star - lower_bound) / tau2_star.  ``history`` holds 1 - gamma of
     the barrier iterate after each Newton step; ``iterations`` counts them.
+    ``certificates`` counts the centres certified, each one slack LP.
     """
 
     chain: ReversibleChain
@@ -88,13 +97,14 @@ class SolverResult:
     lower_bound: float
     certified_gap: float
     iterations: int
+    certificates: int
     embedding: Embedding = field(repr=False)
     history: list = field(repr=False, default_factory=list)
 
     def to_json_dict(self):
         return {"lambda2_star": self.lambda2_star, "tau2_star": self.tau2_star,
                 "lower_bound": self.lower_bound, "certified_gap": self.certified_gap,
-                "iterations": self.iterations}
+                "iterations": self.iterations, "certificates": self.certificates}
 
 
 def _symmetrized_from_flows(q, pi, sqrt_pi, ei, ej, n):
@@ -135,12 +145,16 @@ class _Barrier:
         self.inv_root = 1.0 / self.root
         self.uu = np.outer(self.root, self.root)
         # the load barrier's Hessian adds 1/s_k^2 at (e, f) for every pair of
-        # edges meeting at node k: their flat positions in the (m+1)^2
-        # Hessian, star by star and row-major within a star, and k
+        # edges meeting at node k.  Two distinct edges share at most one
+        # node, so each off-diagonal pair is met once: its flat position in
+        # the (m+1)^2 Hessian, and k.  A diagonal entry gets both ends' terms.
         owners = graph.star_owners
-        e, f = np.nonzero(owners[:, None] == owners[None, :])   # star entry pairs
-        self._star_index = graph.star_edges[e] * (m + 1) + graph.star_edges[f]
-        self._star_node = owners[e]
+        a, b = np.nonzero(owners[:, None] == owners[None, :])   # star entry pairs
+        e, f = graph.star_edges[a], graph.star_edges[b]
+        apart = e != f
+        self._pair_index = e[apart] * (m + 1) + f[apart]
+        self._pair_node = owners[a[apart]]
+        self._diag_index = np.arange(m) * (m + 2)
 
     def loads(self, q):
         return (np.bincount(self.ei, weights=q, minlength=self.n)
@@ -175,8 +189,11 @@ class _Barrier:
         H = np.empty((m + 1, m + 1))
         np.multiply(G, G, out=H[:m, :m])
         del G                    # freed before the solve copies H: peak memory
-        np.add.at(H.reshape(-1), self._star_index, inv_s[self._star_node] ** 2)
-        H[np.arange(m), np.arange(m)] += 1.0 / q ** 2
+        inv_s2 = inv_s ** 2
+        flat = H.reshape(-1)
+        flat[self._pair_index] += inv_s2[self._pair_node]
+        # the diagonal adds its ends' load terms in star order, then 1/q_e^2
+        flat[self._diag_index] = flat[self._diag_index] + inv_s2[ei] + inv_s2[ej] + 1.0 / q ** 2
         H[:m, m] = H[m, :m] = -np.einsum("ke,ke->e", Y, Y)
         H[m, m] = np.einsum("ij,ij->", X, X) - 1.0
         # Jacobi scaling keeps the solve accurate as M nears singularity
@@ -245,39 +262,51 @@ def _cover_slacks(pi, ei, ej, lengths):
     path-following method with Mehrotra's predictor-corrector steps from a
     strictly feasible start.  Its dual is max lengths.x over flows x >= 0
     with node loads at most pi.  Each step solves the n x n normal
-    equations of the cover variables.
+    equations of the cover variables.  The iterate is one array, the cover
+    side (w, z) and then the flow side (x, v), and each side takes one
+    ratio test.
     """
     n, m = len(pi), len(lengths)
+    half = n + m
     scale = float(lengths.max())
     c = lengths / scale
     degree = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
-    w = np.ones(n)
-    z = 2.0 - c                                   # w_i + w_j - c_e
-    x = np.full(m, 0.5 * float(pi.min()) / float(degree.max()))
-    v = pi - np.bincount(ei, x, n) - np.bincount(ej, x, n)
+
+    def parts(a):
+        return a[:n], a[n:half], a[half:half + m], a[half + m:]
+
+    state = np.empty(2 * half)
+    w, z, x, v = parts(state)
+    w[:] = 1.0
+    z[:] = 2.0 - c                                # w_i + w_j - c_e
+    x[:] = 0.5 * float(pi.min()) / float(degree.max())
+    v[:] = pi - np.bincount(ei, x, n) - np.bincount(ej, x, n)
+    K = np.zeros((n, n))
     diag = np.arange(n)
 
     def edge_sum(values):
         return np.bincount(ei, values, n) + np.bincount(ej, values, n)
 
     def direction(target_zx, target_wv, r_p, r_d):
+        """The Newton direction, laid out like ``state``."""
         ratio = x / z
-        K = np.zeros((n, n))
-        np.add.at(K, (ei, ej), ratio)
-        K += K.T
-        K[diag, diag] = edge_sum(ratio) + v / w
+        K[ei, ej] = K[ej, ei] = ratio             # edges are unique
+        k_diag = edge_sum(ratio) + v / w
         # a relative ridge keeps K invertible where the LP is degenerate
-        K[diag, diag] += _LP_RIDGE * K[diag, diag].max()
+        k_diag += _LP_RIDGE * k_diag.max()
+        K[diag, diag] = k_diag
         rhs = edge_sum(ratio * r_p + target_zx / z) + target_wv / w - r_d
         dw = np.linalg.solve(K, rhs)
         dx = ratio * (r_p - dw[ei] - dw[ej]) + target_zx / z
-        return dw, (target_zx - z * dx) / x, dx, (target_wv - v * dw) / w
+        return np.concatenate((dw, (target_zx - z * dx) / x, dx, (target_wv - v * dw) / w))
 
-    def longest(values, steps):
-        shrinking = steps < 0.0
-        if not shrinking.any():
-            return 1.0
-        return min(1.0, 0.995 * float(np.min(-values[shrinking] / steps[shrinking])))
+    def step(d):
+        """``state`` moved along ``d``, each side by up to 0.995 of the way to
+        its boundary and at most 1."""
+        room = np.divide(-state, d, out=np.full(2 * half, np.inf), where=d < 0.0)
+        sizes = [min(1.0, 0.995 * float(room[:half].min())),
+                 min(1.0, 0.995 * float(room[half:].min()))]
+        return state + np.repeat(sizes, half) * d
 
     for _ in range(_LP_MAX_STEPS):
         gap = float(z @ x + w @ v)
@@ -286,19 +315,15 @@ def _cover_slacks(pi, ei, ej, lengths):
         mu = gap / (n + m)
         r_p = c - w[ei] - w[ej] + z
         r_d = pi - edge_sum(x) - v
-        dw, dz, dx, dv = direction(-z * x, -w * v, r_p, r_d)
-        a_p = min(longest(w, dw), longest(z, dz))
-        a_d = min(longest(x, dx), longest(v, dv))
-        affine = float((z + a_p * dz) @ (x + a_d * dx) + (w + a_p * dw) @ (v + a_d * dv))
-        sigma = (affine / gap) ** 3
-        dw, dz, dx, dv = direction(sigma * mu - z * x - dz * dx,
-                                   sigma * mu - w * v - dw * dv, r_p, r_d)
-        a_p = min(longest(w, dw), longest(z, dz))
-        a_d = min(longest(x, dx), longest(v, dv))
-        step = (w + a_p * dw, z + a_p * dz, x + a_d * dx, v + a_d * dv)
-        if not all(np.all(np.isfinite(part)) for part in step):
+        d = direction(-z * x, -w * v, r_p, r_d)
+        aw, az, ax, av = parts(step(d))
+        sigma = (float(az @ ax + aw @ av) / gap) ** 3
+        dw, dz, dx, dv = parts(d)
+        moved = step(direction(sigma * mu - z * x - dz * dx,
+                               sigma * mu - w * v - dw * dv, r_p, r_d))
+        if not np.isfinite(moved).all():
             break
-        w, z, x, v = step
+        state[:] = moved
     return w * scale
 
 
@@ -315,7 +340,7 @@ def _certify(barrier, q, chol):
     lower = embedding_bound(graph, embedding)
     return SolverResult(chain=chain, lambda2_star=summary.lambda2, tau2_star=tau,
                         lower_bound=lower, certified_gap=(tau - lower) / tau,
-                        iterations=0, embedding=embedding)
+                        iterations=0, certificates=0, embedding=embedding)
 
 
 def solve_fastest_mixing(graph, config=None):
@@ -340,8 +365,10 @@ def solve_fastest_mixing(graph, config=None):
 
     history = []
     best = None
+    certificates = 0
     while True:
         # centre at t; the solve's first Newton step is never skipped
+        start = len(history)
         while len(history) < config.max_iters:
             grad, step = barrier.newton(q, gamma, t, chol)
             if history and -float(grad @ step) <= 2.0 * CENTERING_TOL:
@@ -351,14 +378,23 @@ def solve_fastest_mixing(graph, config=None):
                 break
             q, gamma, chol = moved
             history.append(1.0 - gamma)
-        certified = _certify(barrier, q, chol)
-        if best is not None and not (certified.certified_gap < best.certified_gap):
-            break
-        best = certified
-        if best.certified_gap <= CERTIFIED_GAP or len(history) >= config.max_iters:
-            break
+        spent = len(history) >= config.max_iters
+        # the certified gap is a fraction of the barrier's nu/(t gamma), which
+        # shrinks by BARRIER_GROWTH a centre: certify the first centre, the
+        # last, one where the centring took no step, and those where even a
+        # certificate BARRIER_GROWTH^2 times sharper could end the solve
+        if (best is None or spent or len(history) == start
+                or nu / t <= BARRIER_GROWTH ** 2 * CERTIFIED_GAP * gamma):
+            certified = _certify(barrier, q, chol)
+            certificates += 1
+            if best is not None and not (certified.certified_gap < best.certified_gap):
+                break
+            best = certified
+            if best.certified_gap <= CERTIFIED_GAP or spent:
+                break
         t *= BARRIER_GROWTH
-    return dataclasses.replace(best, iterations=len(history), history=history)
+    return dataclasses.replace(best, iterations=len(history), certificates=certificates,
+                               history=history)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@ them with their documented sizes, and the acceptance runner re-executes the
 key ones under a single fixed seed.
 """
 
+import dataclasses
 import math
 from collections import deque
 
 import numpy as np
 
-from fastmix.chains import ReversibleChain, TransitionGraph, validate_chain
+from fastmix import solver
+from fastmix.chains import (ReversibleChain, TransitionGraph, max_degree_chain,
+                            validate_chain)
 from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
 from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, shortest_path_system
@@ -277,3 +280,134 @@ def equalized_rho_reference(graph, W):
     """rho* of equalize_congestion: numpy's sum over each star's edge list."""
     stars = [graph.incident_edges(i) for i in range(graph.n)]
     return max(W[stars[i]].sum() / graph.pi[i] for i in range(graph.n))
+
+
+# -- references for the solver ---------------------------------------------
+# The forms the solver replaced: a certificate at every barrier centre, the
+# load-barrier Hessian scattered by np.add.at, and the slack LP with one
+# ratio test per variable block.
+
+
+def newton_reference(barrier, q, gamma, t, chol):
+    """``_Barrier.newton`` with the star pairs scattered by ``np.add.at``."""
+    graph = barrier.graph
+    ei, ej, inv_root = barrier.ei, barrier.ej, barrier.inv_root
+    m = len(q)
+    owners = graph.star_owners
+    e, f = np.nonzero(owners[:, None] == owners[None, :])
+    star_index = graph.star_edges[e] * (m + 1) + graph.star_edges[f]
+    R = np.linalg.inv(chol)
+    X = R.T @ R
+    Y = X[:, ei] * inv_root[ei]
+    Y -= X[:, ej] * inv_root[ej]
+    G = Y[ei] * inv_root[ei, None]
+    G -= Y[ej] * inv_root[ej, None]
+    inv_s = 1.0 / barrier.slacks(q)
+    grad = np.empty(m + 1)
+    grad[:m] = inv_s[ei] + inv_s[ej] - np.diag(G) - 1.0 / q
+    grad[m] = np.trace(X) - 1.0 - t
+    H = np.empty((m + 1, m + 1))
+    np.multiply(G, G, out=H[:m, :m])
+    np.add.at(H.reshape(-1), star_index, inv_s[owners[e]] ** 2)
+    H[np.arange(m), np.arange(m)] += 1.0 / q ** 2
+    H[:m, m] = H[m, :m] = -np.einsum("ke,ke->e", Y, Y)
+    H[m, m] = np.einsum("ij,ij->", X, X) - 1.0
+    scale = 1.0 / np.sqrt(np.diag(H))
+    H *= scale[:, None]
+    H *= scale[None, :]
+    return grad, scale * np.linalg.solve(H, -grad * scale)
+
+
+def cover_slacks_reference(pi, ei, ej, lengths):
+    """``_cover_slacks`` with w, z, x, v apart and K scattered from zeros."""
+    n, m = len(pi), len(lengths)
+    scale = float(lengths.max())
+    c = lengths / scale
+    degree = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
+    w = np.ones(n)
+    z = 2.0 - c
+    x = np.full(m, 0.5 * float(pi.min()) / float(degree.max()))
+    v = pi - np.bincount(ei, x, n) - np.bincount(ej, x, n)
+    diag = np.arange(n)
+
+    def edge_sum(values):
+        return np.bincount(ei, values, n) + np.bincount(ej, values, n)
+
+    def direction(target_zx, target_wv, r_p, r_d):
+        ratio = x / z
+        K = np.zeros((n, n))
+        np.add.at(K, (ei, ej), ratio)
+        K += K.T
+        K[diag, diag] = edge_sum(ratio) + v / w
+        K[diag, diag] += solver._LP_RIDGE * K[diag, diag].max()
+        rhs = edge_sum(ratio * r_p + target_zx / z) + target_wv / w - r_d
+        dw = np.linalg.solve(K, rhs)
+        dx = ratio * (r_p - dw[ei] - dw[ej]) + target_zx / z
+        return dw, (target_zx - z * dx) / x, dx, (target_wv - v * dw) / w
+
+    def longest(values, steps):
+        shrinking = steps < 0.0
+        if not shrinking.any():
+            return 1.0
+        return min(1.0, 0.995 * float(np.min(-values[shrinking] / steps[shrinking])))
+
+    for _ in range(solver._LP_MAX_STEPS):
+        gap = float(z @ x + w @ v)
+        if gap <= solver._LP_GAP * float(pi @ w):
+            break
+        mu = gap / (n + m)
+        r_p = c - w[ei] - w[ej] + z
+        r_d = pi - edge_sum(x) - v
+        dw, dz, dx, dv = direction(-z * x, -w * v, r_p, r_d)
+        a_p = min(longest(w, dw), longest(z, dz))
+        a_d = min(longest(x, dx), longest(v, dv))
+        affine = float((z + a_p * dz) @ (x + a_d * dx) + (w + a_p * dw) @ (v + a_d * dv))
+        sigma = (affine / gap) ** 3
+        dw, dz, dx, dv = direction(sigma * mu - z * x - dz * dx,
+                                   sigma * mu - w * v - dw * dv, r_p, r_d)
+        a_p = min(longest(w, dw), longest(z, dz))
+        a_d = min(longest(x, dx), longest(v, dv))
+        step = (w + a_p * dw, z + a_p * dz, x + a_d * dx, v + a_d * dv)
+        if not all(np.all(np.isfinite(part)) for part in step):
+            break
+        w, z, x, v = step
+    return w * scale
+
+
+def solve_reference(graph, config=None):
+    """``solve_fastest_mixing`` certifying every barrier centre.
+
+    Uses ``newton_reference`` for the Newton steps; the certificates go
+    through ``solver._certify``, so they use whichever ``_cover_slacks`` the
+    module holds.  ``certificates`` counts the centres certified.
+    """
+    config = config or solver.SolverConfig()
+    n = graph.n
+    barrier = solver._Barrier(graph)
+    ei, ej = barrier.ei, barrier.ej
+    q = 0.5 * max_degree_chain(graph).flows()[ei, ej]
+    gamma = 0.0
+    chol = barrier.factor(q, gamma)
+    nu = len(q) + 2 * n - 1
+    t = nu * (n - 1) / float(np.sum(q / graph.pi[ei] + q / graph.pi[ej]))
+    history, best, certificates = [], None, 0
+    while True:
+        while len(history) < config.max_iters:
+            grad, step = newton_reference(barrier, q, gamma, t, chol)
+            if history and -float(grad @ step) <= 2.0 * solver.CENTERING_TOL:
+                break
+            moved = barrier.line_search(q, gamma, t, chol, grad, step)
+            if moved is None:
+                break
+            q, gamma, chol = moved
+            history.append(1.0 - gamma)
+        certified = solver._certify(barrier, q, chol)
+        certificates += 1
+        if best is not None and not (certified.certified_gap < best.certified_gap):
+            break
+        best = certified
+        if best.certified_gap <= solver.CERTIFIED_GAP or len(history) >= config.max_iters:
+            break
+        t *= solver.BARRIER_GROWTH
+    return dataclasses.replace(best, iterations=len(history), certificates=certificates,
+                               history=history)

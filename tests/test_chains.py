@@ -78,6 +78,29 @@ class TestTransitionGraph:
             g = TransitionGraph(3, edges)
             assert g.edges == expected.edges and g.ends.dtype == np.int64
 
+    @pytest.mark.parametrize("n", [2.9, "2", math.inf, math.nan, None])
+    def test_rejects_non_integral_node_count(self, n):
+        # 2.9 used to be read as 2 nodes, "2" as 2 and inf raised OverflowError
+        with pytest.raises(ValueError, match="node count"):
+            TransitionGraph(n, [(0, 1)])
+
+    def test_accepts_integral_node_counts(self):
+        for n in (2.0, np.int32(2), np.float64(2.0)):
+            g = TransitionGraph(n, [(0, 1)])
+            assert g.n == 2 and type(g.n) is int
+
+    @pytest.mark.parametrize("data, key", [({"edges": [[0, 1]]}, "'n'"),
+                                           ({"n": 2}, "'edges'")])
+    def test_json_without_a_required_key(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            TransitionGraph.from_json_dict(data)
+
+    def test_too_few_edges_rejected_before_allocating(self):
+        # a connected graph on n nodes has at least n - 1 edges; without the
+        # early check this would allocate pi for 10^15 nodes
+        with pytest.raises(ValueError, match="connected"):
+            TransitionGraph(10 ** 15, [(0, 1)])
+
     def test_edge_arrays_are_read_only(self):
         g = knkn_graph(3)
         for array in (g.ends, g.star_offsets, g.star_owners, g.star_nodes, g.star_edges):

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,5 +400,32 @@ class TestCli:
         assert f"family '{command[2]}' needs the parameter {missing}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"edges": [[0, 1]]}', "lacks the key 'n'"),
+        ('{"n": 2}', "lacks the key 'edges'"),
+        ('{"n": 2.9, "edges": [[0, 1]]}', "node count 2.9"),
+        ('{"n": "2", "edges": [[0, 1]]}', "node count '2'"),
+        ('{"n": Infinity, "edges": [[0, 1]]}', "node count inf"),
+        ('[0, 1]', "not a JSON object")])
+    def test_malformed_graph_file_exit_code(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli.main(["spectral", str(bad)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["spectral", "/nonexistent/g.json"]) == cli.EXIT_VALIDATION
+
+
+def test_python_m_fastmix_solves(tmp_path):
+    # the uninstalled checkout runs as ``PYTHONPATH=src python -m fastmix``
+    src = Path(__file__).resolve().parent.parent / "src"
+    graph = tmp_path / "g.json"
+    families.generate("knkn", {"n": 3}).save(graph)
+    done = subprocess.run([sys.executable, "-m", "fastmix", "solve", str(graph)],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["certified_gap"] <= 1e-6 and payload["certificates"] >= 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastmix import solver
 from fastmix.chains import TransitionGraph, validate_chain
 from fastmix.experiments import SANDWICH_SLACK
 from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
@@ -21,7 +22,8 @@ from fastmix.solver import (CERTIFIED_GAP, GRID_MAX_EDGES, OracleResult,
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import (cheeger_upper_bound, congestion,
                                   equalize_congestion, shortest_path_system)
-from helpers import random_connected_graph
+from helpers import (REFERENCE_GRAPHS, cover_slacks_reference, random_connected_graph,
+                     solve_reference)
 
 SMALL = SolverConfig(max_iters=5000)
 
@@ -82,7 +84,8 @@ class TestSolveFastestMixing:
         result = solve_fastest_mixing(cycle_graph(5))
         payload = result.to_json_dict()
         assert set(payload) == {"lambda2_star", "tau2_star", "lower_bound",
-                                "certified_gap", "iterations"}
+                                "certified_gap", "iterations", "certificates"}
+        assert payload["certificates"] == result.certificates >= 1
         assert payload["certified_gap"] == pytest.approx(
             (result.tau2_star - result.lower_bound) / result.tau2_star, rel=1e-12)
 
@@ -149,6 +152,78 @@ class TestDualCertificate:
             equalized = spectrum(equalize_congestion(graph, paths)).relaxation_time
             result = solve_fastest_mixing(graph)
             assert result.tau2_star < equalized - 1e-3
+
+
+def assert_same_result(result, reference):
+    """Bitwise equality of every field but the certificate count."""
+    assert np.array_equal(result.chain.P, reference.chain.P)
+    for name in ("lambda2_star", "tau2_star", "lower_bound", "certified_gap", "iterations"):
+        assert getattr(result, name) == getattr(reference, name), name
+    assert result.history == reference.history
+    assert np.array_equal(result.embedding.vectors, reference.embedding.vectors)
+    assert np.array_equal(result.embedding.slacks, reference.embedding.slacks)
+    assert 1 <= result.certificates <= reference.certificates
+
+
+def _random_uneven(n):
+    return random_connected_graph(np.random.default_rng(1000 + n), n)
+
+
+# the zoo, random uneven-pi graphs of the benchmark's sizes, and larger families
+CERTIFIED_CASES = (
+    list(REFERENCE_GRAPHS)
+    + [(f"random{n}-uneven-b", lambda n=n: _random_uneven(n)) for n in range(12, 17)]
+    + [("torus6x6", lambda: torus_graph(6, 2)), ("knkn8", lambda: knkn_graph(8)),
+       ("K3-half", lambda: TransitionGraph(3, [(0, 1), (0, 2), (1, 2)], [0.5, 0.25, 0.25]))]
+)
+# a solve started at its optimum (complete graphs, n = 2) certifies its first
+# centre only; the others certify it and at most four centres near the end
+MAX_CERTIFICATES = 5
+
+
+class TestCertifiedCentres:
+    """The solver certifies few centres, and returns what certifying every
+    centre (``helpers.solve_reference``) returns."""
+
+    @staticmethod
+    def reference_recording_lengths(graph, config, monkeypatch):
+        lengths = []
+
+        def recording(pi, ei, ej, d2):
+            lengths.append(d2)
+            return cover_slacks_reference(pi, ei, ej, d2)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_cover_slacks", recording)
+            reference = solve_reference(graph, config)
+        return reference, lengths
+
+    @pytest.mark.parametrize("name, build", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
+    def test_bitwise_equal_to_certifying_every_centre(self, name, build, monkeypatch):
+        graph = build()
+        reference, lengths = self.reference_recording_lengths(graph, None, monkeypatch)
+        result = solve_fastest_mixing(graph)
+        assert_same_result(result, reference)
+        assert result.certificates <= MAX_CERTIFICATES
+        ei, ej = graph.ends.T
+        for d2 in lengths:
+            assert np.array_equal(solver._cover_slacks(graph.pi, ei, ej, d2),
+                                  cover_slacks_reference(graph.pi, ei, ej, d2))
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 9])
+    @pytest.mark.parametrize("build", [lambda: _random_uneven(12), lambda: knkn_graph(8),
+                                       lambda: complete_graph(6), lambda: cycle_graph(9)],
+                             ids=["random12-uneven-b", "knkn8", "complete6", "cycle9"])
+    def test_capped_solve_ends_with_a_certified_pair(self, cap, build, monkeypatch):
+        graph = build()
+        config = SolverConfig(max_iters=cap)
+        reference, _ = self.reference_recording_lengths(graph, config, monkeypatch)
+        result = solve_fastest_mixing(graph, config)
+        assert_same_result(result, reference)
+        assert result.iterations <= cap
+        assert validate_chain(result.chain) == []
+        assert embedding_bound(graph, result.embedding) == result.lower_bound
+        assert 0.0 < result.lower_bound <= result.tau2_star
 
 
 @st.composite
