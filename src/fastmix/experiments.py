@@ -5,8 +5,8 @@ the analytic one where it is larger, the expansion bound, the solver value,
 equalized-congestion and Cheeger upper bounds, the max-degree reference
 chain, and the certified gap between the best lower bound and the solver
 value, which the JSON carries but the CSV columns leave out); Ising trees get
-the rate-optimization row (widths, per-site bounds, exact spectra when the
-state space is small).
+the rate-optimization row (widths, per-site bounds, exact spectra up to
+``glauber.DENSE_STATE_CAP`` states).
 Rows violating lower <= solver <= upper abort the run; the checks are
 written so that a NaN bound or value fails them too.
 """
@@ -25,7 +25,6 @@ from .solver import SolverConfig, solve_fastest_mixing
 from .spectral import spectrum
 
 SANDWICH_SLACK = 1e-6
-EXACT_SPIN_STATE_CAP = 512     # dense spectra beyond this are not worth the wait
 
 GRAPH_COLUMNS = ("family", "params", "lb_embed", "lb_expansion", "tau2_solver",
                  "ub_congestion", "ub_cheeger", "tau2_standard")
@@ -125,7 +124,7 @@ def _ising_row(spec):
 
     tau_uniform = tau_rated = None
     ok = None
-    if system.n_states <= EXACT_SPIN_STATE_CAP:
+    if system.n_states <= glauber.DENSE_STATE_CAP:
         # both chains live on the same configuration graph
         graph = glauber.configuration_graph(system)
         uniform = glauber.build_glauber_chain(

@@ -9,9 +9,9 @@ configurations differing at a single site.
 Three single sources carry the dynamics: the coupling tables built once by
 :class:`SpinSystem`, the per-site heat-bath kernels of
 :func:`heat_bath_kernels` (tabulated per neighbor-color profile, read by the
-chain build, ``kbar`` and the majority cut), and the single-site move
-``m + (c - cur) q^v`` on mixed-radix state indices, shared by the
-configuration graph, the chain build and the majority cut.
+chain build and ``kbar``), and the single-site move ``m + (c - cur) q^v`` on
+mixed-radix state indices, shared by the configuration graph and the chain
+build.  A dense chain is built only up to ``DENSE_STATE_CAP`` states.
 
 The Ising specialization (colors -1/+1, couplings exp(beta * a * b)) comes
 with the cut-width machinery used to pick good update rates on complete
@@ -24,16 +24,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .chains import ReversibleChain, TransitionGraph, _canonical_edges, _stars
 from .spectral import spectrum
 
-STATE_SPACE_CAP = 2 ** 20
+STATE_SPACE_CAP = 2 ** 20     # configurations enumerated at most
+DENSE_STATE_CAP = 512          # states of a dense chain: exact spectra past it take minutes
 RATE_SUM_TOL = 1e-12
-EXACT_MAJORITY_LEVELS = 2      # majority_cut_bound enumerates trees up to this depth
 
 
 class SpinSystem:
@@ -210,10 +209,14 @@ def build_glauber_chain(system, rates, graph=None):
     diagonal absorbs the rest.  Output is reversible for the exact Gibbs pi
     by construction (checked numerically by the callers' validators).
     ``graph`` is ``configuration_graph(system)`` when the caller already has
-    it, so chains with different rates can share one.
+    it, so chains with different rates can share one.  Systems with more
+    than ``DENSE_STATE_CAP`` states are rejected before anything is built.
     """
     if len(rates.rho) != system.n_sites:
         raise ValueError("one rate per site required")
+    if system.n_states > DENSE_STATE_CAP:
+        raise ValueError(f"state space {system.n_states} exceeds the dense chain cap "
+                         f"{DENSE_STATE_CAP}")
     if graph is None:
         graph = configuration_graph(system)
     elif graph.n != system.n_states:
@@ -238,8 +241,10 @@ def build_glauber_chain(system, rates, graph=None):
 
 
 def kbar(system):
-    """Worst inverse kernel probability over all (configuration, site, color)."""
-    _check_enumerable(system)
+    """Worst inverse kernel probability over all (configuration, site, color).
+
+    Reads the per-profile kernels only, so it enumerates no configuration.
+    """
     smallest = min(float(K.min()) for K in heat_bath_kernels(system))
     return math.inf if smallest <= 0.0 else 1.0 / smallest
 
@@ -506,16 +511,6 @@ def _majority_table(tree, spins):
 
 
 @dataclass(frozen=True)
-class ExactMajorityStats:
-    """Enumerated quantities behind the majority-cut bound (small trees)."""
-
-    pi_S: float
-    flip_probability: float    # recursive majority flips when the first leaf flips
-    boundary_measure: float    # pi(dS^c): S-side configurations with a cut neighbor
-    phi_S: float               # conductance of S under the uniform-rate chain
-
-
-@dataclass(frozen=True)
 class MajorityCutBound:
     """Majority-cut lower bounds on the configuration-graph mixing problem."""
 
@@ -525,7 +520,6 @@ class MajorityCutBound:
     lambda2_lower: float              # for the fastest chain, via the cut S
     uniform_lambda2_lower: float      # for the uniform-rate chain, via Phi_S
     vacuous: bool
-    exact: Optional[ExactMajorityStats]
 
 
 def majority_cut_bound(tree, beta):
@@ -535,8 +529,7 @@ def majority_cut_bound(tree, beta):
     flip changes the majority with probability at most
     (2 eps + 8 eps^2)^{r-1}; a union bound over the 3^r leaves and the spin
     flip symmetry (pi(S) = 1/2) then cap the cut boundary, and the
-    vertex-expansion bound turns that into lambda2 lower bounds.  For r up to
-    ``EXACT_MAJORITY_LEVELS`` the same quantities are also enumerated exactly.
+    vertex-expansion bound turns that into lambda2 lower bounds.
     """
     if tree.branching != 3:
         raise ValueError("the majority-cut analysis assumes branching 3")
@@ -548,44 +541,9 @@ def majority_cut_bound(tree, beta):
     lambda2_lower = 1.0 - 2.0 * 3.0 ** r * flip_bound
     uniform_lower = 1.0 - 2.0 * flip_bound
 
-    exact = None
-    if r <= EXACT_MAJORITY_LEVELS:
-        # the general constructor also covers the infinite-temperature edge case
-        system = SpinSystem(tree.node_count, tree.site_edges(), colors=(-1, +1),
-                            coupling=lambda v, w, a, b: math.exp(beta * a * b),
-                            beta=beta)
-        pi = gibbs_distribution(system)
-        digits = state_color_indices(system)
-        kernels = heat_bath_kernels(system)
-        majority = _majority_table(tree, np.asarray(system.colors)[digits])
-        states = np.arange(system.n_states)
-        in_S = majority == 1
-        leaves = tree.leaves()
-
-        def flipped(leaf):
-            return _move_targets(system, digits, leaf, 1 - digits[:, leaf])
-
-        pivotal = majority != majority[flipped(leaves[0])]
-        flip_probability = float(pi[pivotal].sum())
-
-        on_boundary = np.zeros(len(states), dtype=bool)
-        phi_sum = 0.0
-        for leaf in leaves:
-            exits = in_S & (majority[flipped(leaf)] == -1)
-            on_boundary |= exits
-            law = _state_kernel(system, digits, kernels, leaf)
-            kernel = law[states, 1 - digits[:, leaf]]
-            phi_sum += float((pi[exits] * kernel[exits]).sum()) / tree.node_count
-        pi_S = float(pi[in_S].sum())
-        exact = ExactMajorityStats(pi_S=pi_S,
-                                   flip_probability=flip_probability,
-                                   boundary_measure=float(pi[on_boundary].sum()),
-                                   phi_S=phi_sum / pi_S)
-
     return MajorityCutBound(epsilon=eps,
                             flip_probability_bound=flip_bound,
                             boundary_measure_bound=boundary_bound,
                             lambda2_lower=lambda2_lower,
                             uniform_lambda2_lower=uniform_lower,
-                            vacuous=lambda2_lower <= -1.0,
-                            exact=exact)
+                            vacuous=lambda2_lower <= -1.0)

@@ -1,9 +1,12 @@
 """Spectra of reversible chains and the relaxation time.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` (``D = diag(pi)``) symmetric,
-so the full spectrum of P is real and is computed here with a cyclic Jacobi
-rotation sweep, which is dependency-free and robust for the dense, modest
-sized matrices this package deals with.
+so the full spectrum of P is real.  Every output reads eigenvalues only, so
+they are computed here, without eigenvectors, by a cyclic Jacobi rotation
+sweep, which is dependency-free and robust for the dense, modest sized
+matrices this package deals with.  A test function's Rayleigh quotient
+bounds the gap ``1 - lambda2`` from above by the variational
+characterization.
 """
 
 from __future__ import annotations
@@ -20,22 +23,21 @@ UNIT_EIGENVALUE_TOL = 1e-9
 REDUCIBLE_TOL = 1e-12      # lambda2 this close to 1 means +inf relaxation
 
 
-def jacobi_eigh(A, off_tol=JACOBI_OFF_TOL, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigvalsh(A, off_tol=JACOBI_OFF_TOL, max_sweeps=100):
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate every (p, q) pair in row order until the off-diagonal
-    Frobenius norm drops below ``off_tol``.  Returns ``(w, V)`` with
-    eigenvalues sorted in descending order and eigenvectors as matching
-    columns of ``V``.  Deterministic: identical input gives bitwise
-    identical output.
+    Frobenius norm drops below ``off_tol``, and the eigenvalues are the
+    diagonal left behind, sorted in descending order.  No eigenvectors are
+    accumulated.  Deterministic: identical input gives bitwise identical
+    output.
     """
     A = np.array(A, dtype=float, copy=True)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
-    V = np.eye(n)
     if n == 1:
-        return np.array([A[0, 0]]), V
+        return np.array([A[0, 0]])
 
     for _ in range(max_sweeps):
         off = math.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2))
@@ -57,13 +59,9 @@ def jacobi_eigh(A, off_tol=JACOBI_OFF_TOL, max_sweeps=100):
                 A[p, :] = c * rp - s * rq
                 A[q, :] = s * rp + c * rq
                 A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
 
     w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    return w[np.argsort(-w, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -117,17 +115,7 @@ def summarize(eigenvalues):
 def spectrum(chain):
     """Full spectrum of a valid reversible chain, by Jacobi rotations (see :func:`summarize`)."""
     _require_valid(chain)
-    w, _ = jacobi_eigh(symmetrized(chain))
-    return summarize(w)
-
-
-def second_eigenvector(chain):
-    """Right eigenvector g of P for lambda2, mapped back from the symmetric form."""
-    _require_valid(chain)
-    if chain.graph.n < 2:
-        raise ValueError("need at least two states")
-    w, V = jacobi_eigh(symmetrized(chain))
-    return V[:, 1] / np.sqrt(chain.pi)
+    return summarize(jacobi_eigvalsh(symmetrized(chain)))
 
 
 def rayleigh_quotient(chain, g):

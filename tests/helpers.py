@@ -8,12 +8,13 @@ key ones under a single fixed seed.
 import dataclasses
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from fastmix import solver
-from fastmix.chains import (ReversibleChain, TransitionGraph, max_degree_chain,
-                            validate_chain)
+from fastmix import glauber, solver
+from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
+                            max_degree_chain, validate_chain)
 from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
 from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, shortest_path_system
@@ -411,3 +412,118 @@ def solve_reference(graph, config=None):
         t *= solver.BARRIER_GROWTH
     return dataclasses.replace(best, iterations=len(history), certificates=certificates,
                                history=history)
+
+
+# -- exhaustive oracles ------------------------------------------------------
+# Brute-force references that no output reads: a grid search over the flows
+# of graphs with very few edges, and the exact quantities behind the
+# majority-cut bound on small trees.
+
+GRID_MAX_EDGES = 4
+GRID_MAX_RESOLUTION = 200
+GRID_MAX_POINTS = 20_000_000
+_EIG_CHUNK = 200_000
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    chain: ReversibleChain
+    lambda2: float
+    spacing: float
+
+
+def grid_oracle(graph, resolution):
+    """Exhaustive grid search over the free edge flows.
+
+    Only meant for instances with at most four non-loop edges; every grid
+    point respecting the node budgets is evaluated with a batched
+    eigensolver and the minimizer is returned.
+    """
+    m = len(graph.ends)
+    if m > GRID_MAX_EDGES:
+        raise ValueError(f"{m} free edge flows exceed the grid oracle cap of {GRID_MAX_EDGES}")
+    if not (1 <= resolution <= GRID_MAX_RESOLUTION):
+        raise ValueError(f"resolution must be in 1..{GRID_MAX_RESOLUTION}")
+    n, pi = graph.n, graph.pi
+    sqrt_pi = np.sqrt(pi)
+    ei, ej = graph.ends.T
+
+    caps = np.minimum(pi[ei], pi[ej])
+    axes = [np.linspace(0.0, c, resolution + 1) for c in caps]
+    if (resolution + 1) ** m > GRID_MAX_POINTS:
+        raise ValueError("grid too fine; lower the resolution")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in mesh], axis=1)
+
+    incidence = np.zeros((n, m))
+    incidence[ei, np.arange(m)] = 1.0
+    incidence[ej, np.arange(m)] = 1.0
+    loads = points @ incidence.T
+    feasible = np.all(loads <= pi + 1e-12, axis=1)
+    points, loads = points[feasible], loads[feasible]
+
+    diag = np.arange(n)
+    best_lambda = math.inf
+    best_q = None
+    for start in range(0, len(points), _EIG_CHUNK):
+        block = points[start:start + _EIG_CHUNK]
+        # D^{1/2} P D^{-1/2} of every grid point in the block
+        S = np.zeros((len(block), n, n))
+        S[:, ei, ej] = block / (sqrt_pi[ei] * sqrt_pi[ej])
+        S += S.swapaxes(1, 2)
+        S[:, diag, diag] = 1.0 - loads[start:start + _EIG_CHUNK] / pi
+        lams = np.linalg.eigvalsh(S)[:, -2]
+        k = int(np.argmin(lams))
+        if lams[k] < best_lambda:
+            best_lambda = float(lams[k])
+            best_q = block[k].copy()
+
+    chain = chain_from_flows(graph, best_q)
+    return OracleResult(chain=chain, lambda2=best_lambda,
+                        spacing=float(caps.max() / resolution))
+
+
+@dataclass(frozen=True)
+class ExactMajorityStats:
+    """Enumerated quantities behind the majority-cut bound."""
+
+    pi_S: float
+    flip_probability: float    # recursive majority flips when the first leaf flips
+    boundary_measure: float    # pi(dS^c): S-side configurations with a cut neighbor
+    phi_S: float               # conductance of S under the uniform-rate chain
+
+
+def exact_majority_stats(tree, beta):
+    """Enumerate the cut S = {m(sigma) = +1} of the Ising model on ``tree``.
+
+    ``beta = 0`` is allowed: the general constructor builds the
+    infinite-temperature system that ``SpinSystem.ising`` rejects.
+    """
+    system = glauber.SpinSystem(tree.node_count, tree.site_edges(), colors=(-1, +1),
+                                coupling=lambda v, w, a, b: math.exp(beta * a * b),
+                                beta=beta)
+    pi = glauber.gibbs_distribution(system)
+    digits = glauber.state_color_indices(system)
+    kernels = glauber.heat_bath_kernels(system)
+    majority = glauber._majority_table(tree, np.asarray(system.colors)[digits])
+    states = np.arange(system.n_states)
+    in_S = majority == 1
+    leaves = tree.leaves()
+
+    def flipped(leaf):
+        return glauber._move_targets(system, digits, leaf, 1 - digits[:, leaf])
+
+    pivotal = majority != majority[flipped(leaves[0])]
+    on_boundary = np.zeros(len(states), dtype=bool)
+    phi_sum = 0.0
+    for leaf in leaves:
+        exits = in_S & (majority[flipped(leaf)] == -1)
+        on_boundary |= exits
+        law = glauber._state_kernel(system, digits, kernels, leaf)
+        kernel = law[states, 1 - digits[:, leaf]]
+        phi_sum += float((pi[exits] * kernel[exits]).sum()) / tree.node_count
+    pi_S = float(pi[in_S].sum())
+    return ExactMajorityStats(pi_S=pi_S,
+                              flip_probability=float(pi[pivotal].sum()),
+                              boundary_measure=float(pi[on_boundary].sum()),
+                              phi_S=phi_sum / pi_S)

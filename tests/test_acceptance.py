@@ -23,13 +23,14 @@ from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
                                   make_cycle_embedding, make_geometric_embedding,
                                   make_knkn_embedding, make_torus_embedding,
                                   vertex_expansion)
-from fastmix.solver import SolverConfig, grid_oracle, solve_fastest_mixing
+from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from fastmix.chains import max_degree_chain, symmetric_walk
 from fastmix.upper_bounds import (congestion, equalize_congestion,
                                   shortest_path_system)
 from helpers import (check_congestion_soundness, check_rayleigh_dominates_gap,
-                     random_connected_graph, random_valid_chain)
+                     exact_majority_stats, grid_oracle, random_connected_graph,
+                     random_valid_chain)
 
 SLACK = 1e-6
 SQ2 = math.sqrt(2.0)
@@ -204,7 +205,7 @@ def test_criterion_10_level_recursion_identity():
 def test_criterion_11_recursive_majority_enumeration():
     t0 = time.monotonic()
     bound = majority_cut_bound(TreeSpec(3, 2), 1.0)
-    stats = bound.exact
+    stats = exact_majority_stats(TreeSpec(3, 2), 1.0)
     eps = 1 / (1 + math.exp(2.0))
     z = 2 * eps + 8 * eps ** 2
     elapsed = time.monotonic() - t0

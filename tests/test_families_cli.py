@@ -346,6 +346,14 @@ class TestCli:
         assert payload["widths"] == [3, 2, 1, 0]
         assert payload["tau2_exact"] > 0
 
+    def test_glauber_exact_past_the_dense_cap_exits_2(self, capsys):
+        # 1024 states: past glauber.DENSE_STATE_CAP, so no spectrum is taken
+        assert cli.main(["glauber", "--tree", "9,1", "--beta", "0.5",
+                         "--exact"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "state space 1024 exceeds the dense chain cap 512" in captured.err
+
     def test_glauber_rejects_nan_beta(self, capsys):
         assert cli.main(["glauber", "--tree", "3,1", "--beta", "nan"]) == cli.EXIT_VALIDATION
         assert "positive and finite" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fastmix.chains import validate_chain
 from fastmix.families import ising_tree
-from fastmix.glauber import (ExactMajorityStats, RateVector, SpinSystem, TreeSpec,
+from fastmix.glauber import (DENSE_STATE_CAP, RateVector, SpinSystem, TreeSpec,
                              build_glauber_chain, check_rate_improvement_limits,
                              configuration_graph, gibbs_distribution, heat_bath_kernels,
                              kbar, log_site_bounds, log_zeta, majority_cut_bound,
@@ -16,6 +16,7 @@ from fastmix.glauber import (ExactMajorityStats, RateVector, SpinSystem, TreeSpe
                              state_color_indices, uniform_rates, zeta)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
+from helpers import exact_majority_stats
 
 
 def ising_edge(beta):
@@ -240,6 +241,14 @@ class TestGlauberChain:
             build_glauber_chain(ising_tree(3, 1, 0.5)[1], uniform_rates(4),
                                 configuration_graph(ising_edge(0.4)))
 
+    def test_dense_state_cap(self):
+        # ten isolated sites: 1024 states, past the cap, rejected before any
+        # configuration is enumerated or any matrix allocated
+        system = SpinSystem(10, [], colors=(-1, +1), coupling=lambda v, w, a, b: 1.0)
+        assert system.n_states == 1024 > DENSE_STATE_CAP == 512
+        with pytest.raises(ValueError, match="dense chain cap 512"):
+            build_glauber_chain(system, uniform_rates(10))
+
     def test_configuration_graph_edges_are_single_site_moves(self):
         graph = configuration_graph(ising_edge(0.4))
         assert graph.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
@@ -262,6 +271,14 @@ class TestKbar:
     def test_isolated_sites(self):
         sys_ = SpinSystem(2, [], colors=(0, 1, 2, 3), coupling=lambda v, w, a, b: 1.0)
         assert kbar(sys_) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("b,r", [(3, 2), (4, 2)])
+    def test_large_trees_without_enumeration(self, b, r):
+        # the worst kernel flips a site against all of its max-degree
+        # neighbors: kbar = 1 + exp(2 beta Delta), bitwise.  b4r2 has 2^21
+        # states, past STATE_SPACE_CAP, which kbar never enumerates.
+        tree, system = ising_tree(b, r, 0.5)
+        assert kbar(system) == 1 + math.exp(2 * 0.5 * tree.max_degree)
 
 
 class TestRateImprovementLimits:
@@ -439,8 +456,7 @@ class TestMajorityCutBound:
 
     def test_two_levels_exact_enumeration(self):
         bound = majority_cut_bound(TreeSpec(3, 2), 1.0)
-        stats = bound.exact
-        assert isinstance(stats, ExactMajorityStats)
+        stats = exact_majority_stats(TreeSpec(3, 2), 1.0)
         assert stats.pi_S == pytest.approx(0.5, abs=1e-12)
         assert stats.flip_probability <= bound.flip_probability_bound
         assert stats.boundary_measure <= bound.boundary_measure_bound
@@ -449,14 +465,15 @@ class TestMajorityCutBound:
     def test_cut_is_exactly_balanced(self):
         # spin-flip symmetry pins pi(S) at one half for any temperature
         for r, beta in ((1, 0.7), (2, 0.25)):
-            stats = majority_cut_bound(TreeSpec(3, r), beta).exact
+            stats = exact_majority_stats(TreeSpec(3, r), beta)
             assert stats.pi_S == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_chain_bound_from_phi(self):
         # the enumerated conductance certifies the uniform-rate lower bound
         tree = TreeSpec(3, 2)
         bound = majority_cut_bound(tree, 1.0)
-        assert bound.uniform_lambda2_lower <= 1 - 2 * bound.exact.phi_S + 1e-12
+        stats = exact_majority_stats(tree, 1.0)
+        assert bound.uniform_lambda2_lower <= 1 - 2 * stats.phi_S + 1e-12
 
     def test_wrong_branching_rejected(self):
         with pytest.raises(ValueError, match="branching 3"):

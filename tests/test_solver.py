@@ -17,12 +17,12 @@ from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
 from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
                                   make_cycle_embedding, make_geometric_embedding,
                                   make_knkn_embedding, make_torus_embedding)
-from fastmix.solver import (CERTIFIED_GAP, GRID_MAX_EDGES, OracleResult,
-                            SolverConfig, grid_oracle, solve_fastest_mixing)
+from fastmix.solver import CERTIFIED_GAP, SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import (cheeger_upper_bound, congestion,
                                   equalize_congestion, shortest_path_system)
-from helpers import (REFERENCE_GRAPHS, cover_slacks_reference, random_connected_graph,
+from helpers import (GRID_MAX_EDGES, REFERENCE_GRAPHS, OracleResult,
+                     cover_slacks_reference, grid_oracle, random_connected_graph,
                      solve_reference)
 
 SMALL = SolverConfig(max_iters=5000)

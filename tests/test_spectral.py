@@ -5,8 +5,8 @@ import pytest
 
 from fastmix.chains import ReversibleChain, TransitionGraph
 from fastmix.families import complete_graph, cycle_graph
-from fastmix.spectral import (jacobi_eigh, rayleigh_quotient, second_eigenvector,
-                              spectrum, summarize, symmetrized)
+from fastmix.spectral import (jacobi_eigvalsh, rayleigh_quotient, spectrum, summarize,
+                              symmetrized)
 from fastmix.chains import symmetric_walk
 from helpers import (check_rayleigh_dominates_gap, random_connected_graph,
                      random_valid_chain)
@@ -18,20 +18,17 @@ class TestJacobi:
         for n in (2, 3, 5, 8, 12, 20):
             A = rng.normal(size=(n, n))
             A = 0.5 * (A + A.T)
-            w, V = jacobi_eigh(A)
+            w = jacobi_eigvalsh(A)
             w_ref = np.linalg.eigvalsh(A)[::-1]
             assert np.allclose(w, w_ref, atol=1e-10)
-            # columns are genuine eigenvectors
-            assert np.allclose(A @ V, V @ np.diag(w), atol=1e-9)
-            assert np.allclose(V.T @ V, np.eye(n), atol=1e-10)
 
     def test_descending_order(self):
-        w, _ = jacobi_eigh(np.diag([3.0, -1.0, 7.0]))
+        w = jacobi_eigvalsh(np.diag([3.0, -1.0, 7.0]))
         assert list(w) == [7.0, 3.0, -1.0]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            jacobi_eigh(np.zeros((2, 3)))
+            jacobi_eigvalsh(np.zeros((2, 3)))
 
 
 class TestSpectrum:
@@ -95,7 +92,9 @@ class TestRayleigh:
         for _ in range(10):
             graph = random_connected_graph(rng, int(rng.integers(3, 9)))
             chain = random_valid_chain(rng, graph)
-            g = second_eigenvector(chain)
+            # right eigenvector of P for lambda2, mapped back from S
+            _, V = np.linalg.eigh(symmetrized(chain))
+            g = V[:, -2] / np.sqrt(chain.pi)
             gap = 1.0 - spectrum(chain).lambda2
             assert rayleigh_quotient(chain, g) == pytest.approx(gap, abs=1e-8)
 
