@@ -196,10 +196,6 @@ class ReversibleChain:
     def pi(self):
         return self.graph.pi
 
-    def flows(self):
-        """Edge-flow matrix Q with Q[i,j] = pi[i] * P[i,j]."""
-        return self.pi[:, None] * self.P
-
     def __repr__(self):
         return f"ReversibleChain(n={self.graph.n})"
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 when inputs fail validation, 3 when a certified
-bound inequality is violated by the computed table.
+Every command prints JSON; ``report``, the one command with a table, also
+takes ``--format csv``.  Exit codes: 0 on success, 2 when inputs fail
+validation or are too large for dense storage, 3 when a certified bound
+inequality is violated by the computed table.
 """
 
 from __future__ import annotations
@@ -21,26 +23,21 @@ EXIT_VALIDATION = 2
 EXIT_INVERSION = 3
 
 
-def _emit(data, args):
-    if getattr(args, "format", "json") == "json":
-        print(json.dumps(data, indent=2, default=str))
-    else:
-        if isinstance(data, dict):
-            data = [data]
-        for row in data:
-            print(",".join(str(v) for v in row.values()))
+def _emit(data):
+    print(json.dumps(data, indent=2, default=str))
 
 
-def _family_params(args):
+def _key_values(pairs):
+    """``KEY=VALUE`` strings as a dict of string values."""
     params = {}
-    for pair in args.param or []:
+    for pair in pairs:
         key, _, value = pair.partition("=")
         params[key] = value
     return params
 
 
 def cmd_gen(args):
-    out = families.generate(args.family, _family_params(args))
+    out = families.generate(args.family, _key_values(args.param or []))
     if args.family == "ising_tree":
         tree, system = out
         payload = {"type": "spin_system", "b": tree.branching, "r": tree.levels,
@@ -49,11 +46,11 @@ def cmd_gen(args):
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(payload, fh)
-        _emit(payload, args)
+        _emit(payload)
         return EXIT_OK
     if args.out:
         out.save(args.out)
-    _emit(out.to_json_dict(), args)
+    _emit(out.to_json_dict())
     return EXIT_OK
 
 
@@ -72,7 +69,7 @@ def cmd_spectral(args):
     if report:
         print("\n".join(report), file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(spectrum(chain).to_json_dict(), args)
+    _emit(spectrum(chain).to_json_dict())
     return EXIT_OK
 
 
@@ -87,7 +84,7 @@ def cmd_lower(args):
     if args.embedding:
         emb = lower_bounds.Embedding.load(args.embedding)
         payload["lb_embed"] = lower_bounds.embedding_bound(graph, emb)
-    _emit(payload, args)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -103,7 +100,7 @@ def cmd_upper(args):
     if args.out_chain:
         save_chain_csv(equalized, args.out_chain)
         payload["chain_csv"] = args.out_chain
-    _emit(payload, args)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -115,7 +112,7 @@ def cmd_solve(args):
     if args.out_chain:
         save_chain_csv(result.chain, args.out_chain)
         payload["chain_csv"] = args.out_chain
-    _emit(payload, args)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -140,20 +137,14 @@ def cmd_glauber(args):
         # past glauber.DENSE_STATE_CAP states the build raises ValueError: exit 2
         chain = glauber.build_glauber_chain(system, rates)
         payload["tau2_exact"] = spectrum(chain).relaxation_time
-    _emit(payload, args)
+    _emit(payload)
     return EXIT_OK
 
 
 def cmd_report(args):
-    specs = []
     config = SolverConfig(max_iters=args.iters)
-    for value in args.sweep:
-        params = {}
-        for pair in value.split(";"):
-            key, _, raw = pair.partition("=")
-            params[key] = raw
-        specs.append(experiments.ExperimentSpec(family=args.family, params=params,
-                                                solver=config))
+    specs = [experiments.ExperimentSpec(args.family, _key_values(value.split(";")), config)
+             for value in args.sweep]
     rows = experiments.run_sweep(specs)
     if args.out:
         experiments.write_rows(rows, args.out, fmt=args.format)
@@ -161,7 +152,7 @@ def cmd_report(args):
         for row in rows:
             print(",".join(str(v) for v in experiments._flatten(row).values()))
     else:
-        _emit(rows, args)
+        _emit(rows)
     return EXIT_OK
 
 
@@ -194,7 +185,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="minimize lambda2 numerically")
     p.add_argument("graph")
-    p.add_argument("--iters", type=int, default=5000, help="cap on Newton steps")
     p.add_argument("--out-chain")
     p.set_defaults(func=cmd_solve)
 
@@ -209,12 +199,13 @@ def build_parser():
     p.add_argument("--family", required=True, choices=families.FAMILIES)
     p.add_argument("--sweep", action="append", required=True,
                    metavar="KEY=VAL[;KEY=VAL...]")
-    p.add_argument("--iters", type=int, default=3000, help="cap on Newton steps")
     p.add_argument("--out")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_report)
 
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for name in ("solve", "report"):
+        sub.choices[name].add_argument("--iters", type=int, default=SolverConfig.max_iters,
+                                       help="cap on Newton steps")
     return parser
 
 
@@ -227,6 +218,9 @@ def main(argv=None):
         code = EXIT_INVERSION
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        code = EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"invalid input: too large for dense storage ({exc})", file=sys.stderr)
         code = EXIT_VALIDATION
     return code
 

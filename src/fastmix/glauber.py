@@ -42,7 +42,9 @@ class SpinSystem:
     edge ``v < w`` and color pair; the values are kept in ``tables``, one
     read-only q x q array per edge indexed by the color indices at ``v`` and
     ``w``.  Every value must be positive and finite, which keeps the Gibbs
-    measure supported on every configuration.
+    measure supported on every configuration; a coupling that overflows
+    (``OverflowError``) is rejected like a non-finite one, with
+    ``ValueError``.
     """
 
     def __init__(self, n_sites, edges, colors, coupling, beta=None):
@@ -59,8 +61,12 @@ class SpinSystem:
         self.neighbors = tuple(tuple(star.tolist()) for star in np.split(nodes, offsets[1:-1]))
         self.tables = {}
         for v, w in self.edges:
-            table = np.array([[coupling(v, w, a, b) for b in self.colors]
-                              for a in self.colors], dtype=float)
+            try:
+                table = np.array([[coupling(v, w, a, b) for b in self.colors]
+                                  for a in self.colors], dtype=float)
+            except OverflowError as exc:      # math.exp past the float range
+                raise ValueError(f"coupling on edge ({v},{w}) overflows ({exc}); "
+                                 "it must be positive and finite") from None
             bad = np.argwhere(~((table > 0.0) & np.isfinite(table)))
             if len(bad):
                 a, b = bad[0]
@@ -321,9 +327,6 @@ class TreeSpec:
     def node_levels(self):
         return _tree_structure(self.branching, self.levels)["level"]
 
-    def child_ranks(self):
-        return _tree_structure(self.branching, self.levels)["rank"]
-
     def children(self):
         return _tree_structure(self.branching, self.levels)["children"]
 
@@ -334,16 +337,15 @@ class TreeSpec:
 
 @functools.cache
 def _tree_structure(b, r):
-    """DFS preorder ids, parent/level/child-rank arrays and edge list."""
-    parent, level, rank, edges = [-1], [0], [0], []
+    """DFS preorder ids, parent/level/children arrays and edge list."""
+    parent, level, edges = [-1], [0], []
     children = [[]]
 
     def grow(node, node_level):
-        for q in range(1, b + 1):
+        for _ in range(b):
             child = len(parent)
             parent.append(node)
             level.append(node_level + 1)
-            rank.append(q)
             children.append([])
             children[node].append(child)
             edges.append((node, child))
@@ -351,47 +353,40 @@ def _tree_structure(b, r):
                 grow(child, node_level + 1)
 
     grow(0, 0)
-    return {"parent": tuple(parent), "level": tuple(level), "rank": tuple(rank),
+    return {"parent": tuple(parent), "level": tuple(level),
             "children": tuple(tuple(c) for c in children), "edges": tuple(edges)}
 
 
 def node_widths(tree):
     """Per-node cut widths of the DFS ordering, and their maximum.
 
-    The root cuts its b subtree edges; a q-th child at an internal level
-    adds b new edges and closes q, and a leaf only closes q.  The maximum
-    stays within (b-1) r + 1.
+    Tree nodes are numbered in DFS preorder, so the width of node v is the
+    number of tree edges crossing the prefix ``0..v``: the
+    :func:`prefix_cut_sizes` of the identity order.  The maximum stays
+    within (b-1) r + 1.
     """
-    b, r = tree.branching, tree.levels
-    parent, level, rank = tree.parents(), tree.node_levels(), tree.child_ranks()
-    widths = np.zeros(tree.node_count, dtype=int)
-    widths[0] = b
-    for v in range(1, tree.node_count):
-        if level[v] < r:
-            widths[v] = widths[parent[v]] + b - rank[v]
-        else:
-            widths[v] = widths[parent[v]] - rank[v]
+    widths = np.array(prefix_cut_sizes(tree.node_count, tree.site_edges(),
+                                       range(tree.node_count)))
     return widths, int(widths.max())
 
 
 def prefix_cut_sizes(n_nodes, edges, order):
-    """Edges crossing each ordering prefix; direct count, any graph.
+    """Edges crossing each ordering prefix, for any site graph and any order.
 
     Entry k is the number of edges with exactly one endpoint among
-    ``order[:k+1]``; this is the oracle the tree recursion is checked
-    against, and the width source for non-tree site graphs.
+    ``order[:k+1]``.  An edge opens at the earlier position of its ends and
+    closes at the later one, so the counts are the running sum of edges
+    opened minus edges closed: O(n + m) after the edge check.  Endpoints
+    must be node ids 0..n-1.
     """
     if sorted(order) != list(range(n_nodes)):
         raise ValueError("order must be a permutation of the nodes")
-    position = {v: k for k, v in enumerate(order)}
-    sizes = []
-    for k in range(n_nodes):
-        cut = 0
-        for v, w in edges:
-            if (position[v] <= k) != (position[w] <= k):
-                cut += 1
-        sizes.append(cut)
-    return sizes
+    position = np.empty(n_nodes, dtype=np.int64)
+    position[np.asarray(order, dtype=np.int64)] = np.arange(n_nodes)
+    at = position[_canonical_edges(n_nodes, edges)]
+    opened = np.bincount(at.min(axis=1), minlength=n_nodes)
+    closed = np.bincount(at.max(axis=1), minlength=n_nodes)
+    return np.cumsum(opened - closed).tolist()
 
 
 # -- per-site congestion bounds and rates ---------------------------------

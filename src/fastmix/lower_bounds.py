@@ -10,9 +10,10 @@ The vertex expansion is a minimum over cuts.  ``vertex_expansion`` takes it
 over all ``2^n - 2`` proper nonempty subsets up to ``EXHAUSTIVE_NODE_CAP``
 nodes, or over a candidate list at any size, through one block evaluator:
 boolean (node, subset) membership blocks of ``2^9`` subsets, the outer
-boundary from one adjacency product per block, and pi sums added in
-ascending node order, so each value rounds exactly like the scalar sum over
-the subset's members.  Memory is ``O(n 2^9)`` whatever the number of cuts.
+boundary from one adjacency product per block, and pi(S), pi(dS) and
+pi(S^c) from one pass that adds pi in ascending node order, so each value
+rounds exactly like the scalar sum over the members of S, of dS or of the
+complement.  Memory is ``O(n 2^9)`` whatever the number of cuts.
 """
 
 from __future__ import annotations
@@ -205,14 +206,17 @@ def _ascending_sums(pi, member):
 
 
 def _block_ratios(adjacency, pi, member):
-    """pi(dS) / min(pi(S), 1 - pi(S)) for the subsets in the columns of ``member``."""
+    """pi(dS) / min(pi(S), pi(S^c)) for the subsets in the columns of ``member``.
+
+    One ascending pass over the stacked columns ``[S | dS | S^c]`` gives all
+    three sums; ``1 - pi(S)`` would round a light complement to 0.
+    """
     # neighbour counts are small integers; a positive float32 sum is never 0
     reach = adjacency @ member.astype(np.float32) > 0
-    boundary = reach & ~member
-    pi_s = _ascending_sums(pi, member)
-    pi_b = _ascending_sums(pi, boundary)
+    stacked = np.concatenate((member, reach & ~member, ~member), axis=1)
+    pi_s, pi_b, pi_c = np.split(_ascending_sums(pi, stacked), 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return pi_b / np.minimum(pi_s, 1.0 - pi_s)
+        return pi_b / np.minimum(pi_s, pi_c)
 
 
 def _lex_smallest(member):
@@ -245,8 +249,9 @@ def vertex_expansion(graph, candidates=None):
     explicit candidate list is given; ties go to the lexicographically
     smallest subset.  Subsets are evaluated in blocks of 2^9 as boolean
     (node, subset) membership columns, so memory stays O(n 2^9) whatever
-    the number of subsets; pi sums round exactly like a scalar sum over the
-    members in ascending order.
+    the number of subsets.  pi(S), pi(dS) and pi(S^c) each round exactly
+    like a scalar sum over their members in ascending order; pi(S^c) is
+    summed over the complement, so a light complement keeps its weight.
     """
     n, pi = graph.n, graph.pi
     if candidates is None and n > EXHAUSTIVE_NODE_CAP:
@@ -304,13 +309,14 @@ def expansion_lower_bound(graph, candidates=None):
     inner[ends[in_s[ends[:, 0]] != in_s[ends[:, 1]]].ravel()] = True
     inner &= in_s
     pi_s = float(pi[in_s].sum())
+    pi_c = float(pi[~in_s].sum())
     pi_inner = float(pi[inner].sum())
 
     w0 = 1.0 / pi_inner
     slacks = np.zeros(n)
     slacks[inner] = w0
     sep = math.sqrt(w0)
-    vectors = np.where(in_s, (1.0 - pi_s) * sep, -pi_s * sep)
+    vectors = np.where(in_s, pi_c * sep, -pi_s * sep)
     return ExpansionBound(value=1.0 / (2.0 * upsilon), upsilon=upsilon,
                           subset=subset,
                           embedding=Embedding(vectors, slacks))

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ReversibleChain, chain_from_flows, max_degree_chain,
+from .chains import (ReversibleChain, chain_from_flows, max_closed_neighborhood_mass,
                      saturate_flows, validate_chain)
 from .lower_bounds import Embedding, embedding_bound
 # the solver never calls ``spectrum``: it stays imported because perfbench
@@ -70,7 +70,7 @@ _LP_MAX_STEPS = 100
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 5000     # cap on Newton steps
+    max_iters: int = 3000     # cap on Newton steps
 
     def __post_init__(self):
         if not (self.max_iters >= 1):
@@ -338,22 +338,24 @@ def _certify(barrier, q, chol):
 def solve_fastest_mixing(graph, config=None):
     """The fastest chain on ``graph`` and an embedding certifying it.
 
-    Starts from half the max-degree chain's flows and gamma = 0, where
-    L(q) + u u^T is positive definite because the graph is connected.
+    Starts from half the max-degree chain's flows pi(i) pi(j) / pi_*, read
+    off the edge arrays, and gamma = 0, where L(q) + u u^T is positive
+    definite because the graph is connected.
     """
     config = config or SolverConfig()
     n = graph.n
     if n < 2:
         raise ValueError("need at least two states")
     barrier = _Barrier(graph)
-    ei, ej = barrier.ei, barrier.ej
-    q = 0.5 * max_degree_chain(graph).flows()[ei, ej]
+    ei, ej, pi = barrier.ei, barrier.ej, graph.pi
+    # the operations of pi[:, None] * max_degree_chain(graph).P at the edges
+    q = 0.5 * (pi[ei] * (pi[ej] / max_closed_neighborhood_mass(graph)))
     gamma = 0.0
     chol = barrier.factor(q, gamma)
     # nu barrier terms bound the gap at a centre by nu/t; start where that
     # bound is the mean eigenvalue of L(q) on u^perp, tr L(q)/(n-1)
     nu = len(q) + 2 * n - 1
-    t = nu * (n - 1) / float(np.sum(q / graph.pi[ei] + q / graph.pi[ej]))
+    t = nu * (n - 1) / float(np.sum(q / pi[ei] + q / pi[ej]))
 
     history = []
     best = None

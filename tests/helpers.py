@@ -87,9 +87,9 @@ def check_congestion_soundness(seed=0, cases=50, max_n=8):
 def vertex_expansion_reference(graph, candidates=None):
     """Per-subset loop over bit masks: the scalar reference for ``vertex_expansion``.
 
-    Sums pi over the members in ascending node order, exactly like
-    ``sum(pi[v] for v in members)``, and breaks ties towards the
-    lexicographically smallest member tuple.
+    Sums pi over the members, the boundary and the complement, each in
+    ascending node order exactly like ``sum(pi[v] for v in members)``, and
+    breaks ties towards the lexicographically smallest member tuple.
     """
     n, pi = graph.n, graph.pi
     neighbor_masks = [0] * n
@@ -105,8 +105,9 @@ def vertex_expansion_reference(graph, candidates=None):
             mask &= mask - 1
         return tuple(out)
 
+    full = (1 << n) - 1
     if candidates is None:
-        masks = range(1, (1 << n) - 1)
+        masks = range(1, full)
     else:
         masks = [sum(1 << int(v) for v in set(sub)) for sub in candidates]
     best_ratio, best_subset = math.inf, None
@@ -117,7 +118,8 @@ def vertex_expansion_reference(graph, candidates=None):
             reach |= neighbor_masks[v]
         pi_s = float(sum(pi[v] for v in members))
         pi_b = float(sum(pi[v] for v in nodes(reach & ~mask)))
-        ratio = pi_b / min(pi_s, 1.0 - pi_s)
+        pi_c = float(sum(pi[v] for v in nodes(full & ~mask)))
+        ratio = pi_b / min(pi_s, pi_c)
         if ratio < best_ratio or (ratio == best_ratio and members < best_subset):
             best_ratio, best_subset = ratio, members
     return best_ratio, best_subset
@@ -132,11 +134,25 @@ def expansion_witness_reference(graph, s_min):
     inner = [i for i in range(n) if in_s[i]
              and any(not in_s[j] for j in graph.neighbors(i))]
     pi_s = float(pi[in_s].sum())
+    pi_c = float(pi[~in_s].sum())
     w0 = 1.0 / float(pi[inner].sum())
     slacks = np.zeros(n)
     slacks[inner] = w0
     sep = math.sqrt(w0)
-    return subset, np.where(in_s, (1.0 - pi_s) * sep, -pi_s * sep), slacks
+    return subset, np.where(in_s, pi_c * sep, -pi_s * sep), slacks
+
+
+def prefix_cut_sizes_reference(n_nodes, edges, order):
+    """Edges with exactly one end among ``order[:k+1]``, per k, by a double loop."""
+    position = {v: k for k, v in enumerate(order)}
+    sizes = []
+    for k in range(n_nodes):
+        cut = 0
+        for v, w in edges:
+            if (position[v] <= k) != (position[w] <= k):
+                cut += 1
+        sizes.append(cut)
+    return sizes
 
 
 # -- the graph zoo -------------------------------------------------------
@@ -386,7 +402,7 @@ def solve_reference(graph, config=None):
     n = graph.n
     barrier = solver._Barrier(graph)
     ei, ej = barrier.ei, barrier.ej
-    q = 0.5 * max_degree_chain(graph).flows()[ei, ej]
+    q = 0.5 * (graph.pi[:, None] * max_degree_chain(graph).P)[ei, ej]
     gamma = 0.0
     chol = barrier.factor(q, gamma)
     nu = len(q) + 2 * n - 1

@@ -227,7 +227,7 @@ def test_criterion_12_property_suite():
     for _ in range(10):
         graph = random_connected_graph(rng, int(rng.integers(2, 9)))
         chain = random_valid_chain(rng, graph)
-        rows = chain.flows().sum(axis=1)
+        rows = (graph.pi[:, None] * chain.P).sum(axis=1)
         assert np.all(np.abs(rows - graph.pi) <= 1e-10)
         paths = shortest_path_system(graph)
         rho_eq = congestion(equalize_congestion(graph, paths), paths).rho_bar

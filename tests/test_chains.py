@@ -286,7 +286,7 @@ class TestEdgeFlow:
         for _ in range(20):
             graph = random_connected_graph(rng, int(rng.integers(2, 9)))
             chain = random_valid_chain(rng, graph)
-            rows = chain.flows().sum(axis=1)
+            rows = (graph.pi[:, None] * chain.P).sum(axis=1)
             assert np.all(np.abs(rows - graph.pi) <= 1e-10)
 
 

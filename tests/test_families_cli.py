@@ -147,8 +147,26 @@ class TestExperiments:
                "ub_congestion": 3.0, "ub_cheeger": None, "tau2_standard": 1.5}
         with pytest.raises(experiments.BoundInversionError, match="lower bound"):
             experiments._check_graph_row(row)
-        row.update(lb_embed=0.5, ub_congestion=0.9)
+        # the best lower bound above an upper bound: proven bounds disagree
+        row.update(lb_embed=0.95, ub_congestion=0.9)
         with pytest.raises(experiments.BoundInversionError, match="upper bound"):
+            experiments._check_graph_row(row)
+
+    def test_solver_error_above_a_tight_upper_bound_passes(self):
+        # the solver is within ~1e-7 relative of tau*, so on a tight row it
+        # may exceed an upper bound by more than the absolute slack; what is
+        # proven, lower <= tau* <= upper and lower <= tau2_solver, still holds
+        row = {"family": "custom", "params": {}, "lb_embed": 20.0,
+               "lb_expansion": None, "tau2_solver": 20.0000021,
+               "ub_congestion": 20.000001, "ub_cheeger": None, "tau2_standard": 25.0}
+        experiments._check_graph_row(row)
+
+    def test_lower_bound_above_an_upper_bound_is_an_inversion(self):
+        row = {"family": "custom", "params": {}, "lb_embed": 20.1,
+               "lb_expansion": None, "tau2_solver": 20.2,
+               "ub_congestion": 20.0, "ub_cheeger": None, "tau2_standard": 25.0}
+        with pytest.raises(experiments.BoundInversionError,
+                           match="lower bound 20.1 exceeds upper bound 20.0"):
             experiments._check_graph_row(row)
 
     def test_nan_graph_row_is_an_inversion(self):
@@ -358,6 +376,44 @@ class TestCli:
         assert cli.main(["glauber", "--tree", "3,1", "--beta", "nan"]) == cli.EXIT_VALIDATION
         assert "positive and finite" in capsys.readouterr().err
 
+    def test_format_belongs_to_report(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        families.cycle_graph(4).save(gpath)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["upper", str(gpath), "--format", "csv"])
+        assert exit_.value.code == cli.EXIT_VALIDATION
+        assert "--format" in capsys.readouterr().err
+
+    def test_one_newton_step_default(self):
+        parser = cli.build_parser()
+        for argv in (["solve", "g.json"], ["report", "--family", "knkn", "--sweep", "n=3"]):
+            assert parser.parse_args(argv).iters == SolverConfig().max_iters == 3000
+
+    @pytest.mark.parametrize("argv", [
+        ["glauber", "--tree", "3,1", "--beta", "800"],
+        ["report", "--family", "ising_tree", "--sweep", "b=3;r=1;beta=800"]])
+    def test_overflowing_coupling_exits_2(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["spectral", "upper", "solve"])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # a stage that cannot allocate its dense arrays; no test asks for a
+        # huge allocation itself
+        def no_room(graph, *args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        gpath = tmp_path / "g.json"
+        families.cycle_graph(4).save(gpath)
+        monkeypatch.setattr(cli, "max_degree_chain", no_room)
+        monkeypatch.setattr(cli.upper_bounds, "shortest_path_system", no_room)
+        monkeypatch.setattr(cli, "solve_fastest_mixing", no_room)
+        assert cli.main([command, str(gpath)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "too large for dense storage" in captured.err and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = cli.main(["report", "--family", "cycle", "--sweep", "n=4",
@@ -365,9 +421,12 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith("family,")
         printed = capsys.readouterr().out.splitlines()
+        # one line per row, no header, the CSV columns joined by commas
         assert len(printed) == 1
-        assert printed[0].split(",")[0] == "cycle"
-        assert len(printed[0].split(",")) == len(experiments.GRAPH_COLUMNS)
+        row = experiments.run_experiment(
+            experiments.ExperimentSpec("cycle", {"n": "4"}, SolverConfig(max_iters=1500)))
+        assert printed[0].split(",") == ["cycle", '{"n": "4"}'] + [
+            str(row[key]) for key in experiments.GRAPH_COLUMNS[2:]]
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

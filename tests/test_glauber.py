@@ -16,7 +16,7 @@ from fastmix.glauber import (DENSE_STATE_CAP, RateVector, SpinSystem, TreeSpec,
                              state_color_indices, uniform_rates, zeta)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from helpers import exact_majority_stats
+from helpers import exact_majority_stats, prefix_cut_sizes_reference
 
 
 def ising_edge(beta):
@@ -42,6 +42,12 @@ class TestSpinSystem:
         with pytest.raises(ValueError, match="positive and finite"):
             SpinSystem(2, [(0, 1)], (-1, 1),
                        lambda v, w, a, b: value if (a, b) == (1, -1) else 1.0)
+
+    def test_rejects_overflowing_ising_couplings(self):
+        # exp(800) overflows before any table is checked: the same
+        # ValueError as a non-finite coupling, not an OverflowError
+        with pytest.raises(ValueError, match="overflows.*positive and finite"):
+            SpinSystem.ising(2, [(0, 1)], 800.0)
 
     def test_coupling_is_read_once_into_tables(self):
         calls = []
@@ -352,6 +358,22 @@ class TestNodeWidths:
     def test_prefix_counts_validate_order(self):
         with pytest.raises(ValueError, match="permutation"):
             prefix_cut_sizes(3, [(0, 1)], [0, 1])
+
+    @pytest.mark.parametrize("bad", [-1, 3, 1.5])
+    def test_prefix_counts_reject_non_node_endpoints(self, bad):
+        # a negative id must not wrap around to the last node
+        with pytest.raises(ValueError, match="out of range"):
+            prefix_cut_sizes(3, [(0, 1), (bad, 2)], [0, 1, 2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_prefix_counts_match_the_double_loop(self, data):
+        n = data.draw(st.integers(1, 12))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+        edges = sorted(data.draw(st.sets(pairs, max_size=3 * n)))
+        order = data.draw(st.permutations(range(n)))
+        assert prefix_cut_sizes(n, edges, order) == prefix_cut_sizes_reference(n, edges, order)
 
 
 class TestSiteBounds:

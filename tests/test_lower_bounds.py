@@ -185,11 +185,19 @@ class TestVertexExpansionReference:
         # callers and tracers bind the arguments by these names
         assert list(inspect.signature(vertex_expansion).parameters) == ["graph", "candidates"]
 
-    def test_cut_whose_complement_rounds_away_is_skipped(self):
-        # pi({0, 1}) rounds to 1.0, so min(pi(S), 1 - pi(S)) is 0 for that cut;
-        # the scalar loop raised ZeroDivisionError there
+    def test_light_complement_is_summed(self):
+        # pi({0, 1}) rounds to 1.0, so 1 - pi(S) would be 0 for that cut; the
+        # complement summed over {2} gives the ratio 1e-17/1e-17 = 1, which
+        # ties the cut {0}
         graph = TransitionGraph(3, [(0, 1), (1, 2)], [0.5, 0.5, 1e-17])
-        assert vertex_expansion(graph) == (1.0, (0,))
+        assert vertex_expansion(graph) == vertex_expansion_reference(graph) == (1.0, (0,))
+
+    def test_light_complement_sets_the_minimum(self):
+        # at the cut {0, 1}, pi(dS) = pi({2}) is half of pi(S^c) = pi({2, 3});
+        # a complement taken as 1 - pi(S) = 0 hid the cut and gave 1.0
+        graph = TransitionGraph(4, [(0, 1), (1, 2), (2, 3)], [0.5, 0.5, 1e-17, 1e-17])
+        assert vertex_expansion(graph) == vertex_expansion_reference(graph) == (0.5, (0, 1))
+        assert expansion_lower_bound(graph).value == 1.0
 
     def test_single_node_has_no_cut(self):
         graph = TransitionGraph(1, [])
