@@ -75,12 +75,22 @@ def _stars(n, ends):
     return offsets, owners[order], nodes[order], np.tile(np.arange(len(ends)), 2)[order]
 
 
-def _connected(n, ends):
-    """Whether node 0 reaches every node: the reached set grows across crossing edges."""
-    reached = np.arange(n) == 0
-    while (crossing := reached[ends[:, 0]] != reached[ends[:, 1]]).any():
-        reached[ends[crossing]] = True
-    return bool(reached.all())
+def _connected(offsets, nodes):
+    """Whether node 0 reaches every node: a depth-first search over the CSR
+    stars, O(n + m)."""
+    n = len(offsets) - 1
+    offsets, nodes = offsets.tolist(), nodes.tolist()
+    reached = bytearray(n)
+    reached[0] = 1
+    stack, count = [0], 1
+    while stack:
+        i = stack.pop()
+        for j in nodes[offsets[i]:offsets[i + 1]]:
+            if not reached[j]:
+                reached[j] = 1
+                count += 1
+                stack.append(j)
+    return count == n
 
 
 class TransitionGraph:
@@ -116,10 +126,10 @@ class TransitionGraph:
         if abs(pi.sum() - 1.0) > PI_SUM_TOL:
             raise ValueError(f"pi sums to {pi.sum()!r}, not 1 within {PI_SUM_TOL}")
         self.pi = pi
-        if not _connected(n, self.ends):
-            raise ValueError("graph is not connected")
         self.star_offsets, self.star_owners, self.star_nodes, self.star_edges = \
             _stars(n, self.ends)
+        if not _connected(self.star_offsets, self.star_nodes):
+            raise ValueError("graph is not connected")
         for array in (self.pi, self.ends, self.star_offsets, self.star_owners,
                       self.star_nodes, self.star_edges):
             array.flags.writeable = False

@@ -148,11 +148,7 @@ def cmd_report(args):
     rows = experiments.run_sweep(specs)
     if args.out:
         experiments.write_rows(rows, args.out, fmt=args.format)
-    if args.format == "csv":
-        for row in rows:
-            print(",".join(str(v) for v in experiments._flatten(row).values()))
-    else:
-        _emit(rows)
+    experiments.write_table(rows, sys.stdout, fmt=args.format)
     return EXIT_OK
 
 

@@ -177,14 +177,18 @@ def _flatten(row):
     return flat
 
 
-def write_rows(rows, path, fmt="csv"):
-    path = Path(path)
+def write_table(rows, handle, fmt="csv"):
+    """The rows as CSV (a header, then the quoted columns) or as JSON."""
     if fmt == "json":
-        path.write_text(json.dumps(rows, indent=2, default=str) + "\n")
+        handle.write(json.dumps(rows, indent=2, default=str) + "\n")
         return
     columns = ISING_COLUMNS if rows and rows[0]["family"] == "ising_tree" else GRAPH_COLUMNS
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(_flatten(row))
+    writer = csv.DictWriter(handle, fieldnames=columns)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(_flatten(row))
+
+
+def write_rows(rows, path, fmt="csv"):
+    with Path(path).open("w", newline="") as handle:
+        write_table(rows, handle, fmt)

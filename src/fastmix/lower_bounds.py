@@ -305,18 +305,22 @@ def expansion_lower_bound(graph, candidates=None):
 
     # inner boundary: the nodes of S with a neighbour outside S
     ends = graph.ends
+    crossing = in_s[ends[:, 0]] != in_s[ends[:, 1]]
     inner = np.zeros(n, dtype=bool)
-    inner[ends[in_s[ends[:, 0]] != in_s[ends[:, 1]]].ravel()] = True
+    inner[ends[crossing].ravel()] = True
     inner &= in_s
     pi_s = float(pi[in_s].sum())
     pi_c = float(pi[~in_s].sum())
     pi_inner = float(pi[inner].sum())
 
     w0 = 1.0 / pi_inner
-    slacks = np.zeros(n)
-    slacks[inner] = w0
     sep = math.sqrt(w0)
     vectors = np.where(in_s, pi_c * sep, -pi_s * sep)
+    # every crossing edge has squared length (pi_s + pi_c)^2 / pi(inner);
+    # the slack is that length as rounded, so the witness is feasible as is
+    d2 = (vectors[ends[crossing, 0]] - vectors[ends[crossing, 1]]) ** 2
+    slacks = np.zeros(n)
+    slacks[inner] = max(w0, float(d2.max()))
     return ExpansionBound(value=1.0 / (2.0 * upsilon), upsilon=upsilon,
                           subset=subset,
                           embedding=Embedding(vectors, slacks))

@@ -9,9 +9,15 @@ the complement of u = sqrt(pi), and the fastest chain solves the SDP
                           node loads sum_{e at i} q_e <= pi_i
 
 (Boyd, Diaconis and Xiao, SIAM Rev. 46, 2004).  A log-barrier method solves
-it: Newton steps on (q, gamma) centre the barrier problem at a parameter t,
-and t then grows by BARRIER_GROWTH (Vandenberghe and Boyd, SIAM Rev. 38,
-1996).
+it by following the central path, the barrier problem's minimizers as its
+parameter t grows (Vandenberghe and Boyd, SIAM Rev. 38, 1996).  t grows by
+BARRIER_GROWTH from one centre to the next.  At a centre the gradient
+vanishes and its derivative in t is -e_gamma, so the path's tangent is
+H^{-1} e_gamma; it comes out of the last Newton solve as a second column.
+Before centring at the next t, a predictor step moves (q, gamma) along it
+by the change in t, cut to _PREDICTOR_BOUNDARY of the way to q = 0 or
+s = 0 and halved until N stays positive definite.  Newton steps then
+centre the new point.
 
 A barrier centre yields a certified pair:
 
@@ -30,13 +36,18 @@ A barrier centre yields a certified pair:
 The barrier's own gap at a centre is nu/t, and the certified gap is a
 fraction of nu/(t gamma) that shrinks with it.  So a centre is certified
 only where even a certificate BARRIER_GROWTH^2 times sharper than
-nu/(t gamma) could meet CERTIFIED_GAP, and at the centres where the solve
-ends anyway: the first (a solve that starts at its optimum, as on a
-complete graph, is certified there), the one where the Newton budget runs
-out, and one where the centring took no step.  The solve stops once the
-certified gap (tau - lb)/tau is at most CERTIFIED_GAP, once it stops
-improving from one certificate to the next, or after ``max_iters`` Newton
-steps.
+nu/(t gamma) could meet CERTIFIED_GAP (the window), and where the solve
+ends anyway: when the Newton budget is spent, and after a centring that
+took no step.  Centres in the window are centred to a Newton decrement^2/2
+of CENTERING_TOL, so their certificates are taken at tightly centred
+points; the others only to LOOSE_CENTERING_TOL, as the predictor needs no
+more.  A solve that starts at its optimum (uniform pi on a complete graph)
+certifies only once its centres reach the window.  The solve stops
+(``SolverResult.stop``) once the certified gap (tau - lb)/tau is at most
+CERTIFIED_GAP ("certified"), once it stops improving from one certificate
+to the next ("no_improvement"), or after ``max_iters`` Newton steps
+("newton_cap").  ``iterations`` counts the Newton steps taken (the entries
+of ``history``); predictor steps are not among them.
 The tests cross-check the solver on instances with very few edges against
 a brute-force grid search over the same flow variables.
 """
@@ -59,8 +70,10 @@ from .spectral import spectrum, summarize, symmetrized  # noqa: F401
 
 CERTIFIED_GAP = 1e-6      # stop once (tau - lb)/tau is this small
 BARRIER_GROWTH = 8.0      # factor on t from one centre to the next
-CENTERING_TOL = 1e-9      # Newton decrement^2 / 2 that ends a centring
-_BOUNDARY = 0.99          # fraction of the way to q = 0 or s = 0 a step may go
+CENTERING_TOL = 1e-9      # Newton decrement^2 / 2 that ends a centring in the window
+LOOSE_CENTERING_TOL = 1e-2  # ... and one outside it
+_BOUNDARY = 0.99          # fraction of the way to q = 0 or s = 0 a Newton step may go
+_PREDICTOR_BOUNDARY = 0.9   # ... and a predictor step
 _ARMIJO = 0.25            # sufficient-decrease fraction of the line search
 _MAX_HALVINGS = 60        # line-search step halvings before giving up
 _LP_GAP = 1e-12           # relative duality gap that ends the slack LP
@@ -85,7 +98,9 @@ class SolverResult:
     lower_bound <= optimal tau2 <= tau2_star, and ``certified_gap`` is
     (tau2_star - lower_bound) / tau2_star.  ``history`` holds 1 - gamma of
     the barrier iterate after each Newton step; ``iterations`` counts them.
-    ``certificates`` counts the centres certified, each one slack LP.
+    ``certificates`` counts the centres certified, each one slack LP, and
+    ``stop`` says why the solve ended: "certified", "no_improvement" or
+    "newton_cap".
     """
 
     chain: ReversibleChain
@@ -95,26 +110,15 @@ class SolverResult:
     certified_gap: float
     iterations: int
     certificates: int
+    stop: str
     embedding: Embedding = field(repr=False)
     history: list = field(repr=False, default_factory=list)
 
     def to_json_dict(self):
         return {"lambda2_star": self.lambda2_star, "tau2_star": self.tau2_star,
                 "lower_bound": self.lower_bound, "certified_gap": self.certified_gap,
-                "iterations": self.iterations, "certificates": self.certificates}
-
-
-def _symmetrized_from_flows(q, pi, sqrt_pi, ei, ej, n):
-    """D^{1/2} P D^{-1/2} of the chain with edge flows ``q``, one per edge."""
-    S = np.zeros((n, n))
-    S[ei, ej] = q / (sqrt_pi[ei] * sqrt_pi[ej])
-    S += S.T
-    row_off = np.zeros(n)
-    np.add.at(row_off, ei, q)
-    np.add.at(row_off, ej, q)
-    diag = np.arange(n)
-    S[diag, diag] = 1.0 - row_off / pi
-    return S
+                "iterations": self.iterations, "certificates": self.certificates,
+                "stop": self.stop}
 
 
 class _Barrier:
@@ -133,9 +137,14 @@ class _Barrier:
         m = len(graph.ends)
         self.graph, self.n, self.pi = graph, graph.n, graph.pi
         self.ei, self.ej = graph.ends.T
-        self.root = np.sqrt(self.pi)
-        self.inv_root = 1.0 / self.root
-        self.uu = np.outer(self.root, self.root)
+        root = np.sqrt(self.pi)
+        self.inv_root = 1.0 / root
+        self.uu = np.outer(root, root)
+        self._edge_scale = self.inv_root[self.ei] * self.inv_root[self.ej]
+        # the scaled incidence: column e is a_e
+        self._incidence = np.zeros((self.n, m))
+        self._incidence[self.ei, np.arange(m)] = self.inv_root[self.ei]
+        self._incidence[self.ej, np.arange(m)] = -self.inv_root[self.ej]
         # the load barrier's Hessian adds 1/s_k^2 at (e, f) for every pair of
         # edges meeting at node k.  Two distinct edges share at most one
         # node, so each off-diagonal pair is met once: its flat position in
@@ -157,23 +166,29 @@ class _Barrier:
 
     def factor(self, q, gamma):
         """Cholesky factor of N, or None outside the cone."""
-        S = _symmetrized_from_flows(q, self.pi, self.root, self.ei, self.ej, self.n)
-        N = (1.0 - gamma) * np.eye(self.n) - S + (1.0 + gamma) * self.uu
+        N = (1.0 + gamma) * self.uu
+        off = q * self._edge_scale
+        N[self.ei, self.ej] -= off                        # edges are unique
+        N[self.ej, self.ei] -= off
+        N.flat[::self.n + 1] += self.loads(q) / self.pi - gamma
         try:
             return np.linalg.cholesky(N)
         except np.linalg.LinAlgError:
             return None
 
     def newton(self, q, gamma, t, chol):
-        """Gradient and Newton step of the barrier objective at (q, gamma)."""
-        ei, ej, inv_root = self.ei, self.ej, self.inv_root
+        """Gradient, Newton step and central-path tangent at (q, gamma).
+
+        At a centre the gradient vanishes and its derivative in t is
+        -e_gamma, so the centres move along H^{-1} e_gamma as t grows; that
+        tangent is the second column of the same Newton solve.
+        """
+        ei, ej, A = self.ei, self.ej, self._incidence
         m = len(q)
         R = np.linalg.inv(chol)
         X = R.T @ R
-        Y = X[:, ei] * inv_root[ei]
-        Y -= X[:, ej] * inv_root[ej]                      # column e: X a_e
-        G = Y[ei] * inv_root[ei, None]
-        G -= Y[ej] * inv_root[ej, None]                   # a_e^T X a_f
+        Y = X @ A                                         # column e: X a_e
+        G = A.T @ Y                                       # a_e^T X a_f
         inv_s = 1.0 / self.slacks(q)
         grad = np.empty(m + 1)
         grad[:m] = inv_s[ei] + inv_s[ej] - np.diag(G) - 1.0 / q
@@ -192,7 +207,39 @@ class _Barrier:
         scale = 1.0 / np.sqrt(np.diag(H))
         H *= scale[:, None]
         H *= scale[None, :]
-        return grad, scale * np.linalg.solve(H, -grad * scale)
+        rhs = np.zeros((m + 1, 2))
+        rhs[:, 0] = -grad * scale
+        rhs[m, 1] = scale[m]
+        solved = np.linalg.solve(H, rhs)
+        return grad, scale * solved[:, 0], scale * solved[:, 1]
+
+    def _room(self, q, dq, fraction):
+        """The largest step up to 1 along (dq, -loads(dq)) that goes at most
+        ``fraction`` of the way to q = 0 or s = 0; also the slacks and their
+        change."""
+        s = self.slacks(q)
+        ds = -self.loads(dq)
+        alpha = 1.0
+        for x, dx in ((q, dq), (s, ds)):
+            shrinking = dx < 0.0
+            if shrinking.any():
+                alpha = min(alpha, fraction * float(np.min(-x[shrinking] / dx[shrinking])))
+        return alpha, s, ds
+
+    def predict(self, q, gamma, chol, move):
+        """(q, gamma) moved along ``move``: cut to _PREDICTOR_BOUNDARY of the
+        way to the boundary, then halved until N stays positive definite.
+        Returns the point unmoved when no halving is accepted."""
+        m = len(q)
+        dq, dgamma = move[:m], move[m]
+        alpha, _, _ = self._room(q, dq, _PREDICTOR_BOUNDARY)
+        for _ in range(_MAX_HALVINGS):
+            trial_q, trial_gamma = q + alpha * dq, gamma + alpha * dgamma
+            trial = self.factor(trial_q, trial_gamma)
+            if trial is not None:
+                return trial_q, trial_gamma, trial
+            alpha *= 0.5
+        return q, gamma, chol
 
     def line_search(self, q, gamma, t, chol, grad, step):
         """Backtracking step along ``step``; None when no step decreases enough.
@@ -202,13 +249,7 @@ class _Barrier:
         """
         m = len(q)
         dq, dgamma = step[:m], step[m]
-        s = self.slacks(q)
-        ds = -self.loads(dq)
-        alpha = 1.0
-        for x, dx in ((q, dq), (s, ds)):
-            shrinking = dx < 0.0
-            if shrinking.any():
-                alpha = min(alpha, _BOUNDARY * float(np.min(-x[shrinking] / dx[shrinking])))
+        alpha, s, ds = self._room(q, dq, _BOUNDARY)
         slope = float(grad @ step)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         for _ in range(_MAX_HALVINGS):
@@ -332,7 +373,7 @@ def _certify(barrier, q, chol):
     lower = embedding_bound(graph, embedding)
     return SolverResult(chain=chain, lambda2_star=summary.lambda2, tau2_star=tau,
                         lower_bound=lower, certified_gap=(tau - lower) / tau,
-                        iterations=0, certificates=0, embedding=embedding)
+                        iterations=0, certificates=0, stop="", embedding=embedding)
 
 
 def solve_fastest_mixing(graph, config=None):
@@ -357,15 +398,22 @@ def solve_fastest_mixing(graph, config=None):
     nu = len(q) + 2 * n - 1
     t = nu * (n - 1) / float(np.sum(q / pi[ei] + q / pi[ej]))
 
+    def certifiable(t, gamma):
+        # the window: a certificate BARRIER_GROWTH^2 times sharper than the
+        # barrier's nu/(t gamma) could end the solve
+        return nu / t <= BARRIER_GROWTH ** 2 * CERTIFIED_GAP * gamma
+
     history = []
     best = None
     certificates = 0
     while True:
-        # centre at t; the solve's first Newton step is never skipped
+        # centre at t, tightly where a certificate can be taken; the solve's
+        # first Newton step is never skipped
         start = len(history)
         while len(history) < config.max_iters:
-            grad, step = barrier.newton(q, gamma, t, chol)
-            if history and -float(grad @ step) <= 2.0 * CENTERING_TOL:
+            grad, step, tangent = barrier.newton(q, gamma, t, chol)
+            tol = CENTERING_TOL if certifiable(t, gamma) else LOOSE_CENTERING_TOL
+            if history and -float(grad @ step) <= 2.0 * tol:
                 break
             moved = barrier.line_search(q, gamma, t, chol, grad, step)
             if moved is None:       # rounding has stalled the line search
@@ -373,19 +421,21 @@ def solve_fastest_mixing(graph, config=None):
             q, gamma, chol = moved
             history.append(1.0 - gamma)
         spent = len(history) >= config.max_iters
-        # the certified gap is a fraction of the barrier's nu/(t gamma), which
-        # shrinks by BARRIER_GROWTH a centre: certify the first centre, the
-        # last, one where the centring took no step, and those where even a
-        # certificate BARRIER_GROWTH^2 times sharper could end the solve
-        if (best is None or spent or len(history) == start
-                or nu / t <= BARRIER_GROWTH ** 2 * CERTIFIED_GAP * gamma):
+        if spent or len(history) == start or certifiable(t, gamma):
             certified = _certify(barrier, q, chol)
             certificates += 1
             if best is not None and not (certified.certified_gap < best.certified_gap):
+                stop = "no_improvement"
                 break
             best = certified
-            if best.certified_gap <= CERTIFIED_GAP or spent:
+            if best.certified_gap <= CERTIFIED_GAP:
+                stop = "certified"
                 break
+            if spent:
+                stop = "newton_cap"
+                break
+        # predict the next centre along the tangent of the last Newton solve
+        q, gamma, chol = barrier.predict(q, gamma, chol, (BARRIER_GROWTH - 1.0) * t * tangent)
         t *= BARRIER_GROWTH
     return dataclasses.replace(best, iterations=len(history), certificates=certificates,
-                               history=history)
+                               stop=stop, history=history)

@@ -136,10 +136,14 @@ def expansion_witness_reference(graph, s_min):
     pi_s = float(pi[in_s].sum())
     pi_c = float(pi[~in_s].sum())
     w0 = 1.0 / float(pi[inner].sum())
+    sep = math.sqrt(w0)
+    vectors = np.where(in_s, pi_c * sep, -pi_s * sep)
+    for i, j in graph.edges:
+        if in_s[i] != in_s[j]:
+            w0 = max(w0, float((vectors[i] - vectors[j]) ** 2))
     slacks = np.zeros(n)
     slacks[inner] = w0
-    sep = math.sqrt(w0)
-    return subset, np.where(in_s, pi_c * sep, -pi_s * sep), slacks
+    return subset, vectors, slacks
 
 
 def prefix_cut_sizes_reference(n_nodes, edges, order):
@@ -301,24 +305,26 @@ def equalized_rho_reference(graph, W):
 
 # -- references for the solver ---------------------------------------------
 # The forms the solver replaced: a certificate at every barrier centre, the
-# load-barrier Hessian scattered by np.add.at, and the slack LP with one
-# ratio test per variable block.
+# incidence and the load-barrier Hessian scattered by loops and np.add.at,
+# and the slack LP with one ratio test per variable block.
 
 
 def newton_reference(barrier, q, gamma, t, chol):
-    """``_Barrier.newton`` with the star pairs scattered by ``np.add.at``."""
+    """``_Barrier.newton`` with the incidence built by a loop over the edges
+    and the star pairs scattered by ``np.add.at``."""
     graph = barrier.graph
-    ei, ej, inv_root = barrier.ei, barrier.ej, barrier.inv_root
+    ei, ej = barrier.ei, barrier.ej
     m = len(q)
+    A = np.zeros((graph.n, m))
+    for e, (i, j) in enumerate(graph.edges):
+        A[i, e], A[j, e] = barrier.inv_root[i], -barrier.inv_root[j]
     owners = graph.star_owners
     e, f = np.nonzero(owners[:, None] == owners[None, :])
     star_index = graph.star_edges[e] * (m + 1) + graph.star_edges[f]
     R = np.linalg.inv(chol)
     X = R.T @ R
-    Y = X[:, ei] * inv_root[ei]
-    Y -= X[:, ej] * inv_root[ej]
-    G = Y[ei] * inv_root[ei, None]
-    G -= Y[ej] * inv_root[ej, None]
+    Y = X @ A
+    G = A.T @ Y
     inv_s = 1.0 / barrier.slacks(q)
     grad = np.empty(m + 1)
     grad[:m] = inv_s[ei] + inv_s[ej] - np.diag(G) - 1.0 / q
@@ -332,7 +338,12 @@ def newton_reference(barrier, q, gamma, t, chol):
     scale = 1.0 / np.sqrt(np.diag(H))
     H *= scale[:, None]
     H *= scale[None, :]
-    return grad, scale * np.linalg.solve(H, -grad * scale)
+    # the Newton step and the tangent H^{-1} e_gamma, solved together
+    rhs = np.zeros((m + 1, 2))
+    rhs[:, 0] = -grad * scale
+    rhs[m, 1] = scale[m]
+    solved = np.linalg.solve(H, rhs)
+    return grad, scale * solved[:, 0], scale * solved[:, 1]
 
 
 def cover_slacks_reference(pi, ei, ej, lengths):
@@ -392,11 +403,14 @@ def cover_slacks_reference(pi, ei, ej, lengths):
 
 
 def solve_reference(graph, config=None):
-    """``solve_fastest_mixing`` certifying every barrier centre.
+    """``solve_fastest_mixing`` with a certificate computed at every centre.
 
-    Uses ``newton_reference`` for the Newton steps; the certificates go
+    It follows the solver's path (``newton_reference`` for the Newton steps,
+    the solver's predictor and line search) and acts only on the
+    certificates the solver takes, by the same rule.  The certificates go
     through ``solver._certify``, so they use whichever ``_cover_slacks`` the
-    module holds.  ``certificates`` counts the centres certified.
+    module holds.  Returns the result and the certified gaps of the centres
+    the solver skips.
     """
     config = config or solver.SolverConfig()
     n = graph.n
@@ -407,27 +421,45 @@ def solve_reference(graph, config=None):
     chol = barrier.factor(q, gamma)
     nu = len(q) + 2 * n - 1
     t = nu * (n - 1) / float(np.sum(q / graph.pi[ei] + q / graph.pi[ej]))
-    history, best, certificates = [], None, 0
+
+    def certifiable(t, gamma):
+        return nu / t <= solver.BARRIER_GROWTH ** 2 * solver.CERTIFIED_GAP * gamma
+
+    history, best, certificates, skipped = [], None, 0, []
     while True:
+        start = len(history)
         while len(history) < config.max_iters:
-            grad, step = newton_reference(barrier, q, gamma, t, chol)
-            if history and -float(grad @ step) <= 2.0 * solver.CENTERING_TOL:
+            grad, step, tangent = newton_reference(barrier, q, gamma, t, chol)
+            tol = solver.CENTERING_TOL if certifiable(t, gamma) else solver.LOOSE_CENTERING_TOL
+            if history and -float(grad @ step) <= 2.0 * tol:
                 break
             moved = barrier.line_search(q, gamma, t, chol, grad, step)
             if moved is None:
                 break
             q, gamma, chol = moved
             history.append(1.0 - gamma)
+        spent = len(history) >= config.max_iters
         certified = solver._certify(barrier, q, chol)
-        certificates += 1
-        if best is not None and not (certified.certified_gap < best.certified_gap):
-            break
-        best = certified
-        if best.certified_gap <= solver.CERTIFIED_GAP or len(history) >= config.max_iters:
-            break
+        if spent or len(history) == start or certifiable(t, gamma):
+            certificates += 1
+            if best is not None and not (certified.certified_gap < best.certified_gap):
+                stop = "no_improvement"
+                break
+            best = certified
+            if best.certified_gap <= solver.CERTIFIED_GAP:
+                stop = "certified"
+                break
+            if spent:
+                stop = "newton_cap"
+                break
+        else:
+            skipped.append(certified.certified_gap)
+        q, gamma, chol = barrier.predict(q, gamma, chol,
+                                         (solver.BARRIER_GROWTH - 1.0) * t * tangent)
         t *= solver.BARRIER_GROWTH
-    return dataclasses.replace(best, iterations=len(history), certificates=certificates,
-                               history=history)
+    result = dataclasses.replace(best, iterations=len(history), certificates=certificates,
+                                 stop=stop, history=history)
+    return result, skipped
 
 
 # -- exhaustive oracles ------------------------------------------------------

@@ -218,6 +218,19 @@ class TestEdgeLayoutReference:
         assert not connected_reference(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             TransitionGraph(4, [(0, 1), (2, 3)])
+        # as many edges as a spanning tree needs, in two components
+        edges = [(0, 1), (0, 2), (1, 2), (3, 4)]
+        assert not connected_reference(5, edges)
+        with pytest.raises(ValueError, match="connected"):
+            TransitionGraph(5, edges)
+
+    def test_long_path_builds(self):
+        # a search that grows the reached set one edge layer per pass makes
+        # n - 1 passes here
+        n = 200_000
+        graph = TransitionGraph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+        assert graph.n == n and len(graph.ends) == n - 1
+        assert graph.degree(0) == graph.degree(n - 1) == 1
 
 
 class TestValidateChain:

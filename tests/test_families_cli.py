@@ -420,13 +420,29 @@ class TestCli:
                          "--iters", "1500", "--out", str(out), "--format", "csv"])
         assert code == 0
         assert out.read_text().startswith("family,")
-        printed = capsys.readouterr().out.splitlines()
-        # one line per row, no header, the CSV columns joined by commas
-        assert len(printed) == 1
+        # stdout carries the file's header and rows, byte for byte
+        assert capsys.readouterr().out == out.read_bytes().decode()
+        printed = list(csv.reader(out.read_text().splitlines()))
+        assert printed[0] == list(experiments.GRAPH_COLUMNS)
         row = experiments.run_experiment(
             experiments.ExperimentSpec("cycle", {"n": "4"}, SolverConfig(max_iters=1500)))
-        assert printed[0].split(",") == ["cycle", '{"n": "4"}'] + [
+        assert printed[1] == ["cycle", '{"n": "4"}'] + [
             str(row[key]) for key in experiments.GRAPH_COLUMNS[2:]]
+
+    def test_report_csv_quotes_multi_parameter_rows(self, capsys):
+        code = cli.main(["report", "--family", "torus", "--sweep", "m=3;d=2",
+                         "--format", "csv"])
+        assert code == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(printed) == 2
+        assert all(len(fields) == len(experiments.GRAPH_COLUMNS) for fields in printed)
+        assert printed[1][:2] == ["torus", '{"d": "2", "m": "3"}']
+
+    def test_report_json_file_matches_stdout(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        assert cli.main(["report", "--family", "cycle", "--sweep", "n=4",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

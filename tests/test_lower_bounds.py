@@ -259,6 +259,15 @@ class TestExpansionLowerBound:
         assert bound.embedding.vectors.tobytes() == vectors[:, None].tobytes()
         assert bound.embedding.slacks.tobytes() == slacks.tobytes()
 
+    def test_light_inner_boundary_witness_is_feasible(self):
+        # the witness's crossing edge has squared length (pi_s + pi_c)^2 /
+        # pi(inner) = 1.0000000000000002e17, one ulp past 1/pi(inner) = 1e17:
+        # its slack is that length, so the witness passes the unchanged check
+        graph = TransitionGraph(4, [(0, 1), (1, 2), (2, 3)], [0.5, 0.5, 1e-17, 1e-17])
+        bound = expansion_lower_bound(graph)
+        assert embedding_violations(graph, bound.embedding) == []
+        assert embedding_bound(graph, bound.embedding) >= bound.value == 1.0
+
     def test_linked_cliques_value(self):
         bound = expansion_lower_bound(knkn_graph(3))
         assert bound.value == pytest.approx(1.5)
