@@ -42,9 +42,22 @@ def _node_ids(values, n):
     return np.where(bad, 0, values).astype(np.int64), bad
 
 
+def _float_array(values, what):
+    """``values`` as a new float array; ValueError naming ``what`` when numpy
+    cannot read them as numbers (objects, ragged nesting, non-numeric text)."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} is not an array of numbers ({exc})") from None
+
+
 def _canonical_edges(n, edges):
     """Validated edges as sorted canonical ``(min, max)`` rows of an (m, 2) array."""
-    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    if not isinstance(edges, np.ndarray):
+        try:
+            edges = list(edges)
+        except TypeError:
+            raise ValueError(f"edges {edges!r} are not a list of node pairs") from None
     if len(edges) == 0:
         return np.zeros((0, 2), dtype=np.int64)
     ends, bad = _node_ids(edges, n)
@@ -118,7 +131,7 @@ class TransitionGraph:
             raise ValueError("graph is not connected")
         if pi is None:
             pi = np.full(n, 1.0 / n)
-        pi = np.asarray(pi, dtype=float).copy()
+        pi = _float_array(pi, "pi")
         if pi.shape != (n,):
             raise ValueError(f"pi has shape {pi.shape}, expected ({n},)")
         if not np.all((pi > 0.0) & np.isfinite(pi)):

@@ -91,9 +91,8 @@ def cmd_lower(args):
 def cmd_upper(args):
     graph = TransitionGraph.load(args.graph)
     paths = upper_bounds.shortest_path_system(graph)
-    loads = upper_bounds.path_loads(graph, paths)
-    equalized = upper_bounds.equalize_congestion(graph, paths, loads)
-    report = upper_bounds.congestion(equalized, paths, loads)
+    equalized = upper_bounds.equalize_congestion(graph, paths)
+    report = upper_bounds.congestion(equalized, paths)
     payload = report.to_json_dict()
     if graph.n <= lower_bounds.EXHAUSTIVE_NODE_CAP:
         payload["ub_cheeger"] = upper_bounds.cheeger_upper_bound(graph)

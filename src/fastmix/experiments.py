@@ -79,9 +79,8 @@ def _graph_row(spec, graph):
         ub_cheeger = upper_bounds.cheeger_bound_from_expansion(graph, expansion.upsilon)
 
     paths = upper_bounds.shortest_path_system(graph)
-    loads = upper_bounds.path_loads(graph, paths)
-    equalized = upper_bounds.equalize_congestion(graph, paths, loads)
-    ub_congestion = upper_bounds.congestion(equalized, paths, loads).rho_bar
+    equalized = upper_bounds.equalize_congestion(graph, paths)
+    ub_congestion = upper_bounds.congestion(equalized, paths).rho_bar
     tau2_standard = spectrum(max_degree_chain(graph)).relaxation_time
 
     tau = result.tau2_star

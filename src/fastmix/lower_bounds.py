@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import _node_ids
+from .chains import _float_array, _node_ids
 from .families import torus_coordinates
 
 FEASIBILITY_SLACK = 1e-9   # constructions hit constraints with equality
@@ -41,10 +41,10 @@ class Embedding:
     """
 
     def __init__(self, vectors, slacks):
-        vectors = np.array(vectors, dtype=float)
+        vectors = _float_array(vectors, "embedding vectors")
         if vectors.ndim == 1:
             vectors = vectors[:, None]
-        slacks = np.array(slacks, dtype=float)
+        slacks = _float_array(slacks, "embedding slacks")
         if slacks.ndim != 1 or vectors.ndim != 2 or vectors.shape[0] != slacks.shape[0]:
             raise ValueError("vectors and slacks disagree on node count")
         if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(slacks))):
@@ -65,7 +65,12 @@ class Embedding:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(np.array(data["psi"], dtype=float), np.array(data["w"], dtype=float))
+        if not isinstance(data, dict):
+            raise ValueError("embedding data is not a JSON object")
+        for key in ("psi", "w"):
+            if key not in data:
+                raise ValueError(f"embedding data lacks the key {key!r}")
+        return cls(data["psi"], data["w"])
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
@@ -292,9 +297,12 @@ def expansion_lower_bound(graph, candidates=None):
     The returned subset is oriented so that the boundary carrying the slack,
     d(S^c), is the lighter one; the witness then evaluates under
     ``embedding_bound`` to exactly pi(S) pi(S^c) / pi(dS^c), which is at
-    least the returned value.
+    least the returned value.  Raises ValueError when there is no proper
+    cut to take: a single node, or an empty candidate list.
     """
     upsilon, s_min = vertex_expansion(graph, candidates)
+    if s_min is None:
+        raise ValueError(f"no proper cut to bound the expansion with (n={graph.n})")
     pi = graph.pi
     n = graph.n
     # the minimizer's own outer boundary is the lighter of the two, so the

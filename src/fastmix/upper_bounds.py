@@ -1,10 +1,19 @@
 """Upper bounds on the optimal relaxation time: canonical paths and Cheeger.
 
+The canonical-paths bound routes every node pair along one shortest path.
+The path of x < y walks from x, and each step goes to the smallest
+neighbour one hop closer to y.  On a shortest path that neighbour is also
+one hop further from x, so the walk is the lexicographically smallest
+shortest path as seen from x, and the walks into one root y form a BFS tree
+rooted at y.  ``shortest_path_system`` builds the n trees at once over the
+graph's CSR stars and keeps them as one n x n array of star positions,
+O(n^2) memory, with O(n m) more while it runs.  The path loads W(e) depend
+only on (graph, pi, paths), so it computes them once, with the trees.
+
 The congestion of a path system bounds tau2 of any chain on the instance,
-and because the path loads W(e) depend only on (graph, pi, paths), the bound
-can be minimized over edge flows.  ``equalize_congestion`` performs that
-minimization exactly: the optimum puts flow proportional to load, pinned by
-the most loaded node star.
+and the bound can be minimized over edge flows.  ``equalize_congestion``
+performs that minimization exactly: the optimum puts flow proportional to
+load, pinned by the most loaded node star.
 """
 
 from __future__ import annotations
@@ -14,146 +23,78 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (chain_from_flows, max_closed_neighborhood_mass,
+from .chains import (TransitionGraph, chain_from_flows, max_closed_neighborhood_mass,
                      saturate_flows)
 from .lower_bounds import vertex_expansion
 
 
+@dataclass(frozen=True, eq=False)
 class PathSystem:
-    """One simple path per unordered node pair, stored from the smaller endpoint.
+    """One shortest path per node pair, stored as each root's BFS tree, and its loads.
 
-    ``paths`` maps node pairs to node sequences.  They are kept in two flat
-    integer arrays: ``nodes`` concatenates the paths, pair (x, y) with x < y
-    in lexicographic order, and the k-th pair's path is
-    ``nodes[offsets[k]:offsets[k + 1]]``.  ``path(x, y)`` returns the node
-    sequence oriented x -> y, so the (y, x) query is the exact reversal of
-    the (x, y) one.
+    ``hop[v, y]`` is the position in ``graph.star_nodes`` of v's step towards
+    y, its smallest neighbour one hop closer to y; the diagonal holds the
+    past-the-end position 2m.  ``path(x, y)`` follows ``hop`` from the smaller
+    endpoint to the larger one, so the (y, x) query is the exact reversal of
+    the (x, y) one.  ``loads[e]`` is W(e), the sum of pi(x) pi(y) d(x, y)
+    over the pairs x < y whose path uses edge e.  Both arrays are read-only;
+    ``hop`` holds n^2 int32 entries and no path is stored.
     """
 
-    def __init__(self, graph, paths):
-        by_pair = {}
-        for (x, y), nodes in paths.items():
-            x, y = int(x), int(y)
-            if x == y:
-                raise ValueError("paths connect distinct nodes")
-            key = (min(x, y), max(x, y))
-            nodes = tuple(int(v) for v in nodes)
-            if nodes and nodes[0] == key[1]:
-                nodes = nodes[::-1]
-            if not nodes or nodes[0] != key[0] or nodes[-1] != key[1]:
-                raise ValueError(f"path for {key} does not connect its endpoints")
-            if len(set(nodes)) != len(nodes):
-                raise ValueError(f"path for {key} repeats a node")
-            for a, b in zip(nodes, nodes[1:]):
-                if not graph.has_edge(a, b):
-                    raise ValueError(f"path for {key} uses non-edge ({a},{b})")
-            by_pair[key] = nodes
-        n = graph.n
-        expected = n * (n - 1) // 2
-        if len(by_pair) != expected:
-            raise ValueError(f"need a path for all {expected} pairs, got {len(by_pair)}")
-        ordered = [by_pair[(x, y)] for x in range(n) for y in range(x + 1, n)]
-        self._adopt(graph, np.array([v for nodes in ordered for v in nodes], dtype=np.int32),
-                    np.cumsum([0] + [len(nodes) for nodes in ordered]))
-
-    @classmethod
-    def _from_flat(cls, graph, nodes, offsets):
-        """Adopt flat arrays that are valid by construction."""
-        system = cls.__new__(cls)
-        system._adopt(graph, nodes, offsets)
-        return system
-
-    def _adopt(self, graph, nodes, offsets):
-        nodes.flags.writeable = False
-        offsets.flags.writeable = False
-        self.graph, self.nodes, self.offsets = graph, nodes, offsets
+    graph: TransitionGraph
+    hop: np.ndarray
+    loads: np.ndarray
 
     def path(self, x, y):
+        """The node sequence from x to y."""
         a, b = min(x, y), max(x, y)
-        k = a * self.graph.n - a * (a + 1) // 2 + (b - a - 1)
-        nodes = tuple(int(v) for v in self.nodes[self.offsets[k]:self.offsets[k + 1]])
-        return nodes if x <= y else nodes[::-1]
-
-    def pairs(self):
-        """((x, y), nodes) for every pair x < y, in lexicographic order."""
-        n = self.graph.n
-        for x in range(n):
-            for y in range(x + 1, n):
-                yield (x, y), self.path(x, y)
-
-
-def _distances(graph):
-    """All-pairs hop distances by breadth-first frontiers of the adjacency matrix."""
-    n = graph.n
-    ei, ej = graph.ends.T
-    adjacency = np.zeros((n, n))
-    adjacency[ei, ej] = adjacency[ej, ei] = 1.0
-    dist = np.where(np.eye(n, dtype=bool), 0, -1)
-    frontier = np.eye(n)
-    level = 0
-    while frontier.any():
-        level += 1
-        frontier = ((frontier @ adjacency > 0) & (dist < 0)).astype(float)
-        dist[frontier > 0] = level
-    return dist
+        nodes = [a]
+        while nodes[-1] != b:
+            nodes.append(int(self.graph.star_nodes[self.hop[nodes[-1], b]]))
+        return tuple(nodes) if x <= y else tuple(nodes[::-1])
 
 
 def shortest_path_system(graph):
-    """BFS shortest paths; ties resolved to the lexicographically smallest
-    node sequence as seen from the smaller endpoint.
+    """Every root's BFS tree, built for all roots at once, with the path loads W.
 
-    All pairs walk from x towards y at once: each step moves to the
-    smallest neighbor one hop further from x and one hop closer to y.
+    Hop distances grow one BFS level per pass: a node joins root y's next
+    level when some neighbour is on its frontier, one OR over each star.  A
+    node's step towards y is the first star position whose neighbour is one
+    hop closer.  W is accumulated from the deepest level up: ``acc[v, y]``
+    sums pi(x) d(x, y) over the sources x < y in v's subtree, and the edge
+    from v towards y carries pi(y) acc[v, y].  Each sum over children and
+    over edges adds its terms in ascending (v, y) order.
     """
-    n = graph.n
-    dist = _distances(graph)
-    first, second = np.triu_indices(n, 1)
-    length = dist[first, second]
-    # row i holds i's star: neighbors are sorted, so the first admissible
-    # column is the lexicographic choice; padding columns are never admissible
-    owners = graph.star_owners
-    column = np.arange(len(owners)) - graph.star_offsets[owners]
-    width = int(column.max(initial=0)) + 1
-    neighbors = np.zeros((n, width), dtype=np.int64)
-    real = np.zeros((n, width), dtype=bool)
-    neighbors[owners, column] = graph.star_nodes
-    real[owners, column] = True
-    longest = int(length.max()) if length.size else 0
-    walk = np.zeros((len(first), longest + 1), dtype=np.int32)
-    walk[:, 0] = first
-    for step in range(longest):
-        moving = np.nonzero(length > step)[0]
-        here, x, y = walk[moving, step], first[moving], second[moving]
-        cand = neighbors[here]
-        ok = (real[here] & (dist[x[:, None], cand] == step + 1)
-              & (dist[cand, y[:, None]] == (length[moving] - step - 1)[:, None]))
-        if not ok.any(axis=1).all():
-            raise RuntimeError("BFS walk stalled; graph data inconsistent")
-        walk[moving, step + 1] = cand[np.arange(len(moving)), np.argmax(ok, axis=1)]
-    on_path = np.arange(longest + 1)[None, :] <= length[:, None]
-    offsets = np.concatenate([[0], np.cumsum(length + 1)])
-    return PathSystem._from_flat(graph, walk[on_path], offsets)
+    n, pi = graph.n, graph.pi
+    if n < 2:
+        raise ValueError(f"a path system needs at least two nodes, got n={n}")
+    # on a connected graph with n >= 2 no star is empty, so each reduceat
+    # segment is exactly one star
+    starts, nodes = graph.star_offsets[:-1], graph.star_nodes
+    dist = np.where(np.eye(n, dtype=bool), 0, -1).astype(np.int32)
+    frontier = np.eye(n, dtype=bool)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = np.logical_or.reduceat(frontier[nodes], starts, axis=0) & (dist < 0)
+        dist[frontier] = depth
+    closer = dist[nodes] == dist[graph.star_owners] - 1
+    position = np.arange(len(nodes), dtype=np.int32)[:, None]
+    hop = np.minimum.reduceat(np.where(closer, position, np.int32(len(nodes))),
+                              starts, axis=0)
 
-
-def path_loads(graph, paths):
-    """W(e) = sum over paths through e of pi(x) pi(y) |path|, per edge.
-
-    Contributions are summed per edge in pair order, then hop order.
-    """
-    pi, n, m = graph.pi, graph.n, len(graph.ends)
-    nodes, offsets = paths.nodes, paths.offsets
-    first, second = np.triu_indices(n, 1)
-    hops = np.diff(offsets) - 1
-    # consecutive positions of ``nodes`` form a hop, except where one path
-    # ends and the next begins: those steps weigh 0, and land in the spare
-    # bin m when they are no edge
-    ei, ej = graph.ends.T
-    edge_id = np.full((n, n), m)
-    edge_id[ei, ej] = edge_id[ej, ei] = np.arange(m)
-    weight = np.repeat(pi[first] * pi[second] * hops, hops + 1)[:-1]
-    weight[offsets[1:-1] - 1] = 0.0
-    return np.bincount(edge_id[nodes[:-1], nodes[1:]], weights=weight,
-                       minlength=m + 1)[:m]
+    flat_hop = hop.ravel()
+    acc = np.where(np.arange(n)[:, None] < np.arange(n), pi[:, None] * dist, 0.0).ravel()
+    for level in range(depth - 1, 0, -1):
+        pair = np.flatnonzero(dist == level)            # v n + y, ascending
+        above = nodes[flat_hop[pair]] * n + pair % n
+        acc += np.bincount(above, weights=acc[pair], minlength=n * n)
+    pair = np.flatnonzero(dist > 0)
+    loads = np.bincount(graph.star_edges[flat_hop[pair]], weights=pi[pair % n] * acc[pair],
+                        minlength=len(graph.ends))
+    hop.flags.writeable = False
+    loads.flags.writeable = False
+    return PathSystem(graph, hop, loads)
 
 
 @dataclass(frozen=True)
@@ -172,27 +113,25 @@ class CongestionReport:
                 "argmax_edge": list(self.argmax_edge)}
 
 
-def congestion(chain, paths, loads=None):
+def congestion(chain, paths):
     """Canonical-paths congestion of a chain: tau2(chain) <= rho_bar.
 
     An edge carrying load but zero flow makes the bound vacuous; it is
-    reported as +inf with the offending edge as argmax.  ``loads`` are the
-    path loads W when the caller already has them.
+    reported as +inf with the offending edge as argmax.
     """
     graph = chain.graph
-    W = np.asarray(path_loads(graph, paths) if loads is None else loads)
+    W = paths.loads
     ei, ej = graph.ends.T
     q = graph.pi[ei] * chain.P[ei, ej]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(q > 0.0, W / q, np.where(W > 0.0, math.inf, 0.0))
-    worst = int(np.argmax(ratios)) if len(ratios) else None   # the first maximum
+    worst = int(np.argmax(ratios))          # the first maximum
     return CongestionReport(edge_loads=dict(zip(graph.edges, W.tolist())),
                             ratios=dict(zip(graph.edges, ratios.tolist())),
-                            rho_bar=0.0 if worst is None else float(ratios[worst]),
-                            argmax_edge=None if worst is None else graph.edges[worst])
+                            rho_bar=float(ratios[worst]), argmax_edge=graph.edges[worst])
 
 
-def equalize_congestion(graph, paths, loads=None):
+def equalize_congestion(graph, paths):
     """Flows minimizing the congestion of a fixed path system.
 
     Ratios W(e)/Q(e) <= rho are jointly feasible iff every node star fits its
@@ -200,10 +139,9 @@ def equalize_congestion(graph, paths, loads=None):
     base flows W(e)/rho*.  The most loaded star then sits exactly at rho*;
     leftover node budgets are spent by symmetric proportional padding (which
     can only lower the other ratios) and any remaining mass stays on the
-    self-loops.  ``loads`` are the path loads W when the caller already has
-    them.
+    self-loops.
     """
-    W = path_loads(graph, paths) if loads is None else loads
+    W = paths.loads
     # W[star].sum() per star, rounded alike: that is 0.0 plus numpy's pairwise
     # sum (unlike a sequential one from 8 terms up), which add.reduceat
     # computes over stars led by a 0.0 each

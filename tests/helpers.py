@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fastmix import glauber, solver
 from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
@@ -196,6 +197,30 @@ REFERENCE_GRAPHS = (
 )
 
 
+def uneven_pi(rng, n):
+    pi = rng.uniform(0.05, 1.0, size=n)
+    return pi / pi.sum()
+
+
+@st.composite
+def layout_graphs(draw):
+    """Connected graphs on 2..24 nodes with uneven pi: sparse, dense, star, path
+    or complete."""
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["sparse", "dense", "star", "path", "complete"]))
+    if shape == "star":
+        edges = [(0, k) for k in range(1, n)]
+    elif shape == "path":
+        edges = [(k, k + 1) for k in range(n - 1)]
+    elif shape == "complete":
+        edges = complete_graph(n).edges
+    else:
+        edges = random_connected_graph(
+            rng, n, extra_edge_prob=0.15 if shape == "sparse" else 0.7).edges
+    return TransitionGraph(n, edges, uneven_pi(rng, n))
+
+
 # -- scalar references for the edge layout ---------------------------------
 # The per-edge and per-node loops that the graph's edge arrays replaced.
 
@@ -295,6 +320,47 @@ def dirichlet_reference(chain, vectors):
     for i, j in chain.graph.edges:
         total += float(np.sum((vectors[i] - vectors[j]) ** 2)) * chain.pi[i] * chain.P[i, j]
     return total
+
+
+def tree_loads_reference(graph):
+    """W per edge by loops over a BFS tree per root, summed as ``shortest_path_system`` does.
+
+    In root y's tree each node steps to its smallest neighbour one hop closer
+    to y.  ``acc[v][y]`` is pi(v) d(v, y) if v < y (else 0.0), plus the sum of
+    its children's acc, added in ascending child order from 0.0; the step of
+    v towards y then adds pi(y) acc[v][y] to its edge, over (v, y) ascending.
+    """
+    n, pi = graph.n, graph.pi
+    step = [[None] * n for _ in range(n)]
+    acc = [[0.0] * n for _ in range(n)]
+    for y in range(n):
+        dist = [-1] * n
+        dist[y] = 0
+        queue = [y]
+        for u in queue:
+            for v in graph.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for v in range(n):
+            if v != y:
+                step[v][y] = min(w for w in graph.neighbors(v) if dist[w] == dist[v] - 1)
+            acc[v][y] = pi[v] * dist[v] if v < y else 0.0
+        for level in range(max(dist), 0, -1):
+            children = [0.0] * n
+            for v in range(n):
+                if dist[v] == level:
+                    children[step[v][y]] += acc[v][y]
+            for v in range(n):
+                if dist[v] == level - 1:
+                    acc[v][y] += children[v]
+    W = np.zeros(len(graph.edges))
+    for v in range(n):
+        for y in range(n):
+            if v != y:
+                w = step[v][y]
+                W[graph.edge_index[(min(v, w), max(v, w))]] += pi[y] * acc[v][y]
+    return W
 
 
 def equalized_rho_reference(graph, W):

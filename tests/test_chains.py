@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
                             edge_flow, fit_to_budgets, load_chain_csv,
@@ -15,13 +14,13 @@ from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
 from fastmix.families import cycle_graph, complete_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import specified_chain_bound
 from fastmix.spectral import rayleigh_quotient
-from fastmix.upper_bounds import (congestion, equalize_congestion, path_loads,
-                                  shortest_path_system)
+from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
 from helpers import (REFERENCE_GRAPHS, canonical_edges_reference,
                      chain_from_flows_reference, closed_neighborhood_mass_reference,
                      congestion_reference, connected_reference,
-                     dirichlet_reference, equalized_rho_reference, max_degree_chain_reference,
-                     random_connected_graph, random_valid_chain, support_reference)
+                     dirichlet_reference, equalized_rho_reference, layout_graphs,
+                     max_degree_chain_reference, random_connected_graph, random_valid_chain,
+                     support_reference, uneven_pi)
 
 
 def flip_chain():
@@ -57,6 +56,14 @@ class TestTransitionGraph:
     def test_rejects_non_finite_pi(self, pi):
         with pytest.raises(ValueError, match="finite"):
             TransitionGraph(2, [(0, 1)], pi)
+
+    @pytest.mark.parametrize("edges, pi, message", [
+        (None, None, "not a list of node pairs"), (1, None, "not a list of node pairs"),
+        ([(0, 1)], {}, "not an array of numbers"),
+        ([(0, 1)], [0.5, {}], "not an array of numbers")])
+    def test_rejects_non_numeric_input(self, edges, pi, message):
+        with pytest.raises(ValueError, match=message):
+            TransitionGraph(2, edges, pi)
 
     def test_canonical_order(self):
         g = TransitionGraph(3, [(2, 1), (1, 0), (0, 2)])
@@ -148,22 +155,17 @@ def layout_checks(graph):
             float(graph.pi @ np.sum(psi ** 2, axis=1)) / dirichlet_reference(chain, psi),
             rel=1e-12)
         paths = shortest_path_system(graph)
-        W = path_loads(graph, paths)
+        W = paths.loads
         rho = equalized_rho_reference(graph, W)
-        equalized = equalize_congestion(graph, paths, W)
+        equalized = equalize_congestion(graph, paths)
         assert equalized.P.tobytes() == \
             chain_from_flows(graph, saturate_flows(graph, W / rho)).P.tobytes()
         for chain in (equalized, max_degree_chain(graph)):
-            report = congestion(chain, paths, W)
+            report = congestion(chain, paths)
             loads, ratios, rho_bar, argmax = congestion_reference(chain, W)
             assert (report.edge_loads, report.ratios, report.argmax_edge) == \
                 (loads, ratios, argmax)
             assert report.rho_bar.hex() == rho_bar.hex()
-
-
-def uneven_pi(rng, n):
-    pi = rng.uniform(0.05, 1.0, size=n)
-    return pi / pi.sum()
 
 
 # stars of degree >= 8 make numpy's pairwise sums differ from sequential ones
@@ -176,23 +178,6 @@ LAYOUT_GRAPHS = REFERENCE_GRAPHS + [
         16, complete_graph(16).edges, uneven_pi(np.random.default_rng(3), 16))),
     ("single-node", lambda: TransitionGraph(1, [])),
 ]
-
-
-@st.composite
-def layout_graphs(draw):
-    n = draw(st.integers(2, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = draw(st.sampled_from(["sparse", "dense", "star", "path", "complete"]))
-    if shape == "star":
-        edges = [(0, k) for k in range(1, n)]
-    elif shape == "path":
-        edges = [(k, k + 1) for k in range(n - 1)]
-    elif shape == "complete":
-        edges = complete_graph(n).edges
-    else:
-        edges = random_connected_graph(
-            rng, n, extra_edge_prob=0.15 if shape == "sparse" else 0.7).edges
-    return TransitionGraph(n, edges, uneven_pi(rng, n))
 
 
 class TestEdgeLayoutReference:

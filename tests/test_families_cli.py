@@ -8,11 +8,54 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fastmix import cli, experiments, families
 from fastmix.chains import TransitionGraph
 from fastmix.solver import SolverConfig
 from helpers import random_connected_graph
+
+
+# hostile JSON: every kind of value, nested, in place of a field or an entry
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(["n", "edges", "pi", "d", "psi", "w"]), inner,
+                      max_size=3),
+    max_leaves=12)
+
+
+def _spoiled(draw, data):
+    """``data`` as is, as any JSON value, or with fields dropped, replaced,
+    resized or given a hostile entry."""
+    mode = draw(st.sampled_from(["valid", "fields", "fields", "hostile"]))
+    if mode == "hostile":
+        return draw(_json_values)
+    for key in list(data if mode == "fields" else ()):
+        action = draw(st.sampled_from(["keep", "drop", "replace", "resize", "entry"]))
+        value = data[key]
+        if action == "drop":
+            del data[key]
+        elif action == "replace":
+            data[key] = draw(_json_values)
+        elif isinstance(value, list) and action == "resize":
+            data[key] = value[:draw(st.integers(0, len(value)))] + \
+                draw(st.lists(_json_values, max_size=2))
+        elif isinstance(value, list) and value and action == "entry":
+            value[draw(st.integers(0, len(value) - 1))] = draw(_json_values)
+    return data
+
+
+@st.composite
+def instance_files(draw):
+    """Graph JSON and embedding JSON on up to 6 nodes, each valid or spoiled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    graph = random_connected_graph(rng, n).to_json_dict()
+    embedding = {"d": 1, "psi": [[0.0]] * n, "w": [1.0] * n}
+    return _spoiled(draw, graph), _spoiled(draw, embedding)
 
 
 class TestGenerators:
@@ -219,13 +262,13 @@ class TestExperiments:
     def test_graph_row_computes_loads_once(self, monkeypatch):
         from fastmix import upper_bounds
         calls = []
-        original = upper_bounds.path_loads
+        original = upper_bounds.shortest_path_system
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(upper_bounds, "path_loads", counted)
+        monkeypatch.setattr(upper_bounds, "shortest_path_system", counted)
         row = experiments.run_experiment(
             experiments.ExperimentSpec(family="knkn", params={"n": 4}))
         assert len(calls) == 1
@@ -336,13 +379,13 @@ class TestCli:
     def test_upper_computes_loads_once(self, tmp_path, capsys, monkeypatch):
         from fastmix import upper_bounds
         calls = []
-        original = upper_bounds.path_loads
+        original = upper_bounds.shortest_path_system
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(upper_bounds, "path_loads", counted)
+        monkeypatch.setattr(upper_bounds, "shortest_path_system", counted)
         gpath = tmp_path / "g.json"
         families.knkn_graph(4).save(gpath)
         assert cli.main(["upper", str(gpath)]) == 0
@@ -499,6 +542,45 @@ class TestCli:
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["spectral", "/nonexistent/g.json"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["lower", "upper", "solve"])
+    def test_one_node_graph_exit_code(self, tmp_path, capsys, command):
+        # one node has no pair to route and no cut to take
+        gpath = tmp_path / "one.json"
+        gpath.write_text('{"n": 1, "edges": []}')
+        assert cli.main([command, str(gpath)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"d": 1, "w": [1, 1, 1, 1]}', "lacks the key 'psi'"),
+        ('[1, 2]', "not a JSON object")])
+    def test_malformed_embedding_file_exit_code(self, tmp_path, capsys, text, message):
+        gpath = tmp_path / "c4.json"
+        families.cycle_graph(4).save(gpath)
+        epath = tmp_path / "bad.json"
+        epath.write_text(text)
+        assert cli.main(["lower", str(gpath), "--embedding", str(epath)]) == \
+            cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance_files())
+    def test_hostile_files_exit_0_or_2(self, tmp_path, capsys, files):
+        graph, embedding = files
+        gpath, epath = tmp_path / "g.json", tmp_path / "e.json"
+        gpath.write_text(json.dumps(graph))
+        epath.write_text(json.dumps(embedding))
+        for argv in (["lower", str(gpath)], ["lower", str(gpath), "--embedding", str(epath)],
+                     ["upper", str(gpath)]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+            if code == cli.EXIT_VALIDATION:
+                assert captured.out == ""
 
 
 def test_python_m_fastmix_solves(tmp_path):

@@ -70,6 +70,12 @@ class TestNonFiniteEmbeddings:
         with pytest.raises(ValueError, match="finite"):
             Embedding(np.array([-0.5, 0.5]), np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("vectors, slacks", [({"a": 1}, [1.0]), ([0.0, [1.0]], [1.0, 1.0]),
+                                                 ([0.0, 1.0], [None, {}])])
+    def test_embedding_rejects_non_numbers(self, vectors, slacks):
+        with pytest.raises(ValueError, match="not an array of numbers"):
+            Embedding(vectors, slacks)
+
     def test_all_nan_json_is_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"d": 1, "psi": [[NaN], [NaN]], "w": [NaN, NaN]}')
@@ -203,6 +209,10 @@ class TestVertexExpansionReference:
         graph = TransitionGraph(1, [])
         assert vertex_expansion(graph) == vertex_expansion_reference(graph) == (math.inf, None)
         assert vertex_expansion(cycle_graph(4), []) == (math.inf, None)
+        # with no cut there is no bound to take
+        for graph, candidates in ((graph, None), (cycle_graph(4), [])):
+            with pytest.raises(ValueError, match="no proper cut"):
+                expansion_lower_bound(graph, candidates)
 
     def test_candidates_across_blocks(self):
         rng = np.random.default_rng(5)

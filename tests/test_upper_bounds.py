@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
                             max_degree_chain, validate_chain)
@@ -9,11 +10,10 @@ from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_grap
 from fastmix.lower_bounds import expansion_lower_bound
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from fastmix.upper_bounds import (PathSystem, cheeger_bound_from_expansion,
-                                  cheeger_upper_bound, congestion,
-                                  equalize_congestion, path_loads,
-                                  shortest_path_system)
-from helpers import check_congestion_soundness, random_connected_graph
+from fastmix.upper_bounds import (cheeger_bound_from_expansion, cheeger_upper_bound,
+                                  congestion, equalize_congestion, shortest_path_system)
+from helpers import (check_congestion_soundness, layout_graphs, random_connected_graph,
+                     tree_loads_reference)
 
 
 def reference_paths(graph):
@@ -60,19 +60,36 @@ def reference_cases():
     return graphs + [knkn_graph(4), cycle_graph(7), torus_graph(5, 2), complete_graph(5)]
 
 
-@pytest.mark.parametrize("graph", reference_cases(), ids=repr)
-def test_vectorized_paths_and_loads_match_the_loops(graph):
+def check_paths_and_loads(graph):
     system = shortest_path_system(graph)
     expected = reference_paths(graph)
-    assert dict(system.pairs()) == expected
-    assert np.array_equal(path_loads(graph, system), reference_loads(graph, expected))
+    for (x, y), nodes in expected.items():
+        assert system.path(x, y) == nodes
+        assert system.path(y, x) == nodes[::-1]
+    assert system.loads.tobytes() == tree_loads_reference(graph).tobytes()
+    # the trees sum W in another order than the pairs do
+    np.testing.assert_allclose(system.loads, reference_loads(graph, expected),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("graph", reference_cases(), ids=repr)
+def test_vectorized_paths_and_loads_match_the_loops(graph):
+    check_paths_and_loads(graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout_graphs())
+def test_paths_and_loads_match_the_loops_on_random_shapes(graph):
+    check_paths_and_loads(graph)
 
 
 class TestShortestPaths:
     def test_complete_graph_single_edges(self):
         system = shortest_path_system(complete_graph(4))
-        for (x, y), nodes in system.pairs():
-            assert nodes == (x, y)
+        for x in range(4):
+            for y in range(4):
+                if x != y:
+                    assert system.path(x, y) == (x, y)
 
     def test_linked_cliques_cross_path(self):
         # 0-indexed: node 1 and node 5 sit on opposite cliques, so the route
@@ -95,44 +112,16 @@ class TestShortestPaths:
                     if x != y:
                         assert system.path(x, y) == system.path(y, x)[::-1]
 
-    def test_path_validation(self):
-        graph = cycle_graph(4)
-        with pytest.raises(ValueError, match="non-edge"):
-            PathSystem(graph, {(0, 2): (0, 2), (0, 1): (0, 1), (0, 3): (0, 3),
-                               (1, 2): (1, 2), (1, 3): (1, 0, 3), (2, 3): (2, 3)})
-        with pytest.raises(ValueError, match="all"):
-            PathSystem(graph, {(0, 1): (0, 1)})
+    def test_single_node_rejected(self):
+        with pytest.raises(ValueError, match="two nodes"):
+            shortest_path_system(TransitionGraph(1, []))
 
-
-    def test_flat_arrays(self):
-        graph = knkn_graph(3)
-        system = shortest_path_system(graph)
-        pairs = graph.n * (graph.n - 1) // 2
-        assert system.offsets.shape == (pairs + 1,)
-        assert system.offsets[0] == 0 and system.offsets[-1] == len(system.nodes)
-        assert tuple(system.nodes[system.offsets[0]:system.offsets[1]]) == (0, 1)
-        with pytest.raises(ValueError):
-            system.nodes[0] = 5                  # read-only
-
-    def test_dict_round_trip_is_identical(self):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            graph = random_connected_graph(rng, int(rng.integers(2, 10)))
-            system = shortest_path_system(graph)
-            # give every other path from its larger endpoint
-            given = {(y, x) if (x + y) % 2 else (x, y): nodes[::-1] if (x + y) % 2 else nodes
-                     for (x, y), nodes in system.pairs()}
-            again = PathSystem(graph, given)
-            assert np.array_equal(again.nodes, system.nodes)
-            assert np.array_equal(again.offsets, system.offsets)
-            assert np.array_equal(path_loads(graph, again), path_loads(graph, system))
-
-    def test_path_with_repeated_node_rejected(self):
-        graph = cycle_graph(4)
-        paths = {(x, y): nodes for (x, y), nodes in shortest_path_system(graph).pairs()}
-        paths[(0, 1)] = (0, 3, 0, 1)
-        with pytest.raises(ValueError, match="repeats"):
-            PathSystem(graph, paths)
+    def test_arrays_are_read_only(self):
+        system = shortest_path_system(knkn_graph(3))
+        assert system.hop.shape == (6, 6) and system.loads.shape == (len(system.graph.edges),)
+        for array in (system.hop, system.loads):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestCongestion:
@@ -241,20 +230,9 @@ class TestCheeger:
                 solve_fastest_mixing(graph, config).tau2_star - 1e-6
 
 
-def test_shared_loads_are_bitwise_identical():
-    rng = np.random.default_rng(44)
-    for _ in range(5):
-        graph = random_connected_graph(rng, int(rng.integers(2, 10)))
-        paths = shortest_path_system(graph)
-        loads = path_loads(graph, paths)
-        equalized = equalize_congestion(graph, paths, loads)
-        assert np.array_equal(equalized.P, equalize_congestion(graph, paths).P)
-        assert congestion(equalized, paths, loads) == congestion(equalized, paths)
-
-
 def test_path_loads_sum_rule():
     # summing W over a node's star counts every pair's path visits there
     graph = knkn_graph(3)
-    W = path_loads(graph, shortest_path_system(graph))
+    W = shortest_path_system(graph).loads
     star = W[graph.incident_edges(0)].sum()
     assert star / graph.pi[0] == pytest.approx(3 * 3 * (1 - 5 / (6 * 3)), abs=1e-12)
