@@ -3,7 +3,8 @@
 A problem instance is an undirected graph together with a target stationary
 distribution ``pi``.  Self-loops are implicitly present on every node, so a
 transition matrix may put mass on its diagonal even though ``edges`` only
-lists proper (i != j) pairs.
+lists proper (i != j) pairs.  A chain is held as its edge flows, and all
+here is O(n + m) but the dense ``ReversibleChain.P`` and ``from_matrix``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 PI_SUM_TOL = 1e-12      # normalization of the stationary distribution
-STOCHASTIC_TOL = 1e-10  # row sums / detailed balance
-NONNEG_TOL = 1e-12      # entry nonnegativity and off-edge zeros
+STOCHASTIC_TOL = 1e-10  # row sums / detailed balance of a dense matrix
+NONNEG_TOL = 1e-12      # nonnegative flows and diagonals, off-edge zeros
 
 
 def _integral(value):
@@ -49,6 +50,14 @@ def _float_array(values, what):
         return np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} is not an array of numbers ({exc})") from None
+
+
+def _read_json(path, what):
+    """The JSON value in a file; ValueError if it nests too deeply to parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{what} file {path} nests too deeply to parse") from None
 
 
 def _canonical_edges(n, edges):
@@ -171,9 +180,6 @@ class TransitionGraph:
         """Indices into ``edges`` of the edges touching node ``i``."""
         return self.star_edges[self.star_offsets[i]:self.star_offsets[i + 1]].tolist()
 
-    def uniform_pi(self, tol=1e-12):
-        return bool(np.all(np.abs(self.pi - 1.0 / self.n) <= tol))
-
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
@@ -194,26 +200,54 @@ class TransitionGraph:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(_read_json(path, "graph"))
 
     def __repr__(self):
         return f"TransitionGraph(n={self.n}, m={len(self.ends)})"
 
 
 class ReversibleChain:
-    """A transition matrix attached to its (graph, pi) instance.
+    """A reversible chain on its (graph, pi) instance, held as its edge flows.
 
-    Construction only checks dimensions; use :func:`validate_chain` for the
-    full feasibility report (support, stochasticity, detailed balance).
+    ``flows[k]`` is q = pi(i) P(i,j) = pi(j) P(j,i) on edge k of
+    ``graph.ends``; each self-loop keeps the rest of its node's mass.
+    Construction only checks the length; :func:`validate_chain` checks
+    feasibility.  The dense ``P`` is built on first use (spectra, CSV), and
+    :meth:`from_matrix` is the one way in from a dense matrix.
     """
 
-    def __init__(self, graph, P):
-        P = np.asarray(P, dtype=float).copy()
+    def __init__(self, graph, flows):
+        flows = _float_array(flows, "flows")
+        if flows.shape != (len(graph.ends),):
+            raise ValueError(f"flows have shape {flows.shape}, expected ({len(graph.ends)},)")
+        flows.flags.writeable = False
+        self.graph = graph
+        self.flows = flows
+
+    @classmethod
+    def from_matrix(cls, graph, P):
+        """The chain of its edge flows pi(i) P(i,j), i < j, once P passes the
+        dense checks; ValueError names their first violations otherwise."""
+        P = _float_array(P, "P")
         if P.shape != (graph.n, graph.n):
             raise ValueError(f"P has shape {P.shape}, expected ({graph.n},{graph.n})")
+        report = _dense_violations(graph, P)
+        if report:
+            raise ValueError("invalid chain: " + "; ".join(report[:3]))
+        ei, ej = graph.ends.T
+        return cls(graph, graph.pi[ei] * P[ei, ej])
+
+    @functools.cached_property
+    def P(self):
+        """Read-only dense matrix: q/pi(i) at (i, j), each row's rest on the diagonal."""
+        g = self.graph
+        ei, ej = g.ends.T
+        P = np.zeros((g.n, g.n))
+        P[ei, ej] = self.flows / g.pi[ei]
+        P[ej, ei] = self.flows / g.pi[ej]
+        np.fill_diagonal(P, 1.0 - P.sum(axis=1))
         P.flags.writeable = False
-        self.graph = graph
-        self.P = P
+        return P
 
     @property
     def pi(self):
@@ -223,43 +257,49 @@ class ReversibleChain:
         return f"ReversibleChain(n={self.graph.n})"
 
 
-def validate_chain(chain):
-    """Check a chain against every feasibility constraint of its instance.
-
-    Returns a list of human-readable violation messages (with indices and
-    magnitudes); an empty list means the chain is feasible.  Every check is
-    written as ``not (x <= tol)``, so NaN entries fail it.
-    """
-    g, P = chain.graph, chain.P
-    report = []
-
-    neg = np.argwhere(~(P >= -NONNEG_TOL))
-    for i, j in neg:
-        report.append(f"negative or non-finite entry P[{i},{j}] = {P[i, j]:.3e}")
-
-    ei, ej = g.ends.T
-    allowed = np.eye(g.n, dtype=bool)
+def _dense_violations(graph, P):
+    """Messages for every entry that breaks a chain constraint (negative or
+    non-finite, mass on a non-edge, row sum, detailed balance); NaN fails."""
+    report = [f"negative or non-finite entry P[{i},{j}] = {P[i, j]:.3e}"
+              for i, j in np.argwhere(~((P >= -NONNEG_TOL) & np.isfinite(P)))]
+    ei, ej = graph.ends.T
+    allowed = np.eye(graph.n, dtype=bool)
     allowed[ei, ej] = allowed[ej, ei] = True
-    bad = np.argwhere(~allowed & ~(np.abs(P) <= NONNEG_TOL))
-    for i, j in bad:
+    for i, j in np.argwhere(~allowed & ~(np.abs(P) <= NONNEG_TOL)):
         report.append(f"mass {P[i, j]:.3e} on non-edge ({i},{j})")
-
     rows = P.sum(axis=1)
     for i in np.nonzero(~(np.abs(rows - 1.0) <= STOCHASTIC_TOL))[0]:
-        report.append(f"row {i} sums to {rows[i]!r} (|1 - sum| = {abs(1 - rows[i]):.3e})")
+        report.append(f"row {i} sums to {float(rows[i])!r} (|1 - sum| = {abs(1 - rows[i]):.3e})")
+    F = graph.pi[:, None] * P
+    with np.errstate(invalid="ignore"):         # inf - inf is NaN, reported as such
+        gap = F - F.T
+    for i, j in np.argwhere(np.triu(~(np.abs(gap) <= STOCHASTIC_TOL), 1)):
+        report.append(f"detailed balance broken on ({i},{j}): "
+                      f"pi(i)P(i,j) - pi(j)P(j,i) = {gap[i, j]:.3e}")
+    return report
 
-    F = chain.pi[:, None] * P
-    gap = np.abs(F - F.T)
-    for i, j in np.argwhere(np.triu(~(gap <= STOCHASTIC_TOL), 1)):
-        report.append(
-            f"detailed balance broken on ({i},{j}): "
-            f"pi(i)P(i,j) - pi(j)P(j,i) = {F[i, j] - F[j, i]:.3e}")
+
+def validate_chain(chain):
+    """Violation messages of a chain's flows, in O(n + m); none: it is feasible.
+
+    Every flow must be finite and every flow and diagonal entry 1 - load/pi
+    at least ``-NONNEG_TOL``, with the checks written ``not (x <= tol)`` so
+    that NaN fails; row sums and detailed balance hold by construction.
+    """
+    g, q = chain.graph, chain.flows
+    report = [f"negative or non-finite flow q({g.ends[k, 0]},{g.ends[k, 1]}) = {q[k]:.3e}"
+              for k in np.flatnonzero(~((-q <= NONNEG_TOL) & np.isfinite(q)))]
+    loads = np.bincount(g.star_owners, weights=q[g.star_edges], minlength=g.n)
+    diagonal = 1.0 - loads / g.pi
+    for i in np.flatnonzero(~(-diagonal <= NONNEG_TOL)):
+        report.append(f"node {i} has load {float(loads[i])!r} over pi({i}) = "
+                      f"{float(g.pi[i])!r} (diagonal P[{i},{i}] = {diagonal[i]:.3e})")
     return report
 
 
 def edge_flow(chain, i, j):
-    """Ergodic flow Q(i,j) = pi(i) P(i,j); symmetric for reversible chains."""
-    return float(chain.pi[i] * chain.P[i, j])
+    """Ergodic flow Q(i,j) = pi(i) P(i,j) = Q(j,i) of the edge {i, j}."""
+    return float(chain.flows[chain.graph.edge_index[(min(i, j), max(i, j))]])
 
 
 def max_closed_neighborhood_mass(graph):
@@ -279,47 +319,23 @@ def max_degree_chain(graph):
 
     ``pi_*`` is the largest closed-neighborhood mass (the self-loop term is
     included, keeping row sums below one without clipping); leftover mass
-    goes on the diagonal.
+    goes on the diagonal.  Its flows are pi(i) (pi(j)/pi_*).
     """
     pi = graph.pi
-    pi_star = max_closed_neighborhood_mass(graph)
     ei, ej = graph.ends.T
-    P = np.zeros((graph.n, graph.n))
-    P[ei, ej] = pi[ej] / pi_star
-    P[ej, ei] = pi[ei] / pi_star
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return ReversibleChain(graph, P)
+    return ReversibleChain(graph, pi[ei] * (pi[ej] / max_closed_neighborhood_mass(graph)))
 
 
 def symmetric_walk(graph):
-    """Uniform step to a random non-loop neighbor.
-
-    Only supported for uniform pi; reversibility w.r.t. uniform pi holds
-    exactly when the graph is regular.
-    """
-    if not graph.uniform_pi():
+    """Uniform step to a random non-loop neighbor, flows 1/(n deg); only for
+    uniform pi on a regular graph, where the walk is reversible."""
+    if not np.all(np.abs(graph.pi - 1.0 / graph.n) <= 1e-12):
         raise ValueError("symmetric walk requires a uniform stationary distribution")
     degree = np.diff(graph.star_offsets)
-    P = np.zeros((graph.n, graph.n))
-    P[graph.star_owners, graph.star_nodes] = 1.0 / degree[graph.star_owners]
-    return ReversibleChain(graph, P)
-
-
-def chain_from_flows(graph, flow_by_edge):
-    """Build a chain from symmetric edge flows (one value per graph edge).
-
-    Residual mass pi(i) - sum of incident flows lands on the self-loop;
-    callers are responsible for keeping row budgets nonnegative.
-    """
-    q = np.asarray(flow_by_edge, dtype=float)
-    if q.shape != (len(graph.ends),):
-        raise ValueError("need one flow value per edge")
-    ei, ej = graph.ends.T
-    P = np.zeros((graph.n, graph.n))
-    P[ei, ej] = q / graph.pi[ei]
-    P[ej, ei] = q / graph.pi[ej]
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return ReversibleChain(graph, P)
+    if degree.min() != degree.max():
+        raise ValueError(f"symmetric walk requires a regular graph; this one is not "
+                         f"regular (degrees {degree.min()} to {degree.max()})")
+    return ReversibleChain(graph, 1.0 / (graph.n * degree[graph.ends[:, 0]]))
 
 
 def saturate_flows(graph, flows, sweeps=500, tol=1e-15):
@@ -375,6 +391,7 @@ def save_chain_csv(chain, path):
 
 
 def load_chain_csv(graph, path):
+    """The chain of a dense CSV, read by :meth:`ReversibleChain.from_matrix`."""
     rows = [[float(x) for x in line.split(",")]
             for line in Path(path).read_text().strip().splitlines()]
-    return ReversibleChain(graph, np.array(rows))
+    return ReversibleChain.from_matrix(graph, rows)

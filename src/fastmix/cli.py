@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import experiments, families, glauber, lower_bounds, upper_bounds
-from .chains import (TransitionGraph, load_chain_csv, max_degree_chain,
-                     save_chain_csv, symmetric_walk, validate_chain)
+from .chains import (TransitionGraph, load_chain_csv, max_degree_chain, save_chain_csv,
+                     symmetric_walk)
 from .solver import SolverConfig, solve_fastest_mixing
 from .spectral import spectrum
 
@@ -54,21 +54,13 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _chain_for(args, graph):
-    if args.chain:
-        return load_chain_csv(graph, args.chain)
-    if args.standard == "walk":
-        return symmetric_walk(graph)
-    return max_degree_chain(graph)
-
-
 def cmd_spectral(args):
     graph = TransitionGraph.load(args.graph)
-    chain = _chain_for(args, graph)
-    report = validate_chain(chain)
-    if report:
-        print("\n".join(report), file=sys.stderr)
-        return EXIT_VALIDATION
+    if args.chain:
+        chain = load_chain_csv(graph, args.chain)
+    else:
+        chain = symmetric_walk(graph) if args.standard == "walk" else max_degree_chain(graph)
+    # spectrum validates the chain: an invalid one raises ValueError, exit 2
     _emit(spectrum(chain).to_json_dict())
     return EXIT_OK
 

@@ -11,7 +11,7 @@ Three single sources carry the dynamics: the coupling tables built once by
 :func:`heat_bath_kernels` (tabulated per neighbor-color profile, read by the
 chain build and ``kbar``), and the single-site move ``m + (c - cur) q^v`` on
 mixed-radix state indices, shared by the configuration graph and the chain
-build.  A dense chain is built only up to ``DENSE_STATE_CAP`` states.
+build.  Chains (edge flows) are built only up to ``DENSE_STATE_CAP`` states.
 
 The Ising specialization (colors -1/+1, couplings exp(beta * a * b)) comes
 with the cut-width machinery used to pick good update rates on complete
@@ -138,17 +138,20 @@ def _gibbs(system, digits):
     return weights / weights.sum()
 
 
+def _raising_moves(system, digits):
+    """Every single-site move s -> t > s, as ``(v, c, s, t)`` per site v and
+    new color index c, with s and t arrays of states."""
+    for v in range(system.n_sites):
+        for c in range(1, len(system.colors)):
+            s = np.flatnonzero(digits[:, v] < c)
+            yield v, c, s, _move_targets(system, digits, v, c)[s]
+
+
 def configuration_graph(system):
     """Transition graph on configurations: single-site moves, Gibbs pi."""
     digits = state_color_indices(system)
-    states = np.arange(system.n_states)
-    src, dst = [], []
-    for v in range(system.n_sites):
-        for c in range(1, len(system.colors)):
-            up = digits[:, v] < c
-            src.append(states[up])
-            dst.append(_move_targets(system, digits, v, c)[up])
-    edges = np.column_stack([np.concatenate(src), np.concatenate(dst)])
+    ends = zip(*((s, t) for _, _, s, t in _raising_moves(system, digits)))
+    edges = np.column_stack([np.concatenate(side) for side in ends])
     return TransitionGraph(system.n_states, edges, _gibbs(system, digits))
 
 
@@ -209,14 +212,14 @@ def uniform_rates(n_sites):
 
 
 def build_glauber_chain(system, rates, graph=None):
-    """Explicit transition matrix of the rated dynamics on the configuration graph.
+    """The rated dynamics, P(s, s_v^a) = rho(v) K_v(s, a), as its edge flows.
 
-    P(sigma, sigma_v^a) = rho(v) K(sigma, sigma_v^a) for a != sigma(v); the
-    diagonal absorbs the rest.  Output is reversible for the exact Gibbs pi
-    by construction (checked numerically by the callers' validators).
-    ``graph`` is ``configuration_graph(system)`` when the caller already has
-    it, so chains with different rates can share one.  Systems with more
-    than ``DENSE_STATE_CAP`` states are rejected before anything is built.
+    Each configuration-graph edge s -> t > s, site v set to color a, gets
+    pi(s) rho(v) K_v(s, a), which is reversible for the Gibbs pi; no
+    n_states x n_states array is allocated.  ``graph`` is
+    ``configuration_graph(system)`` when the caller already has it, so
+    chains with different rates can share one.  Systems with more than
+    ``DENSE_STATE_CAP`` states are rejected before anything is built.
     """
     if len(rates.rho) != system.n_sites:
         raise ValueError("one rate per site required")
@@ -230,20 +233,14 @@ def build_glauber_chain(system, rates, graph=None):
     digits = state_color_indices(system)
     kernels = heat_bath_kernels(system)
     N = system.n_states
-    states = np.arange(N)
-    P = np.zeros((N, N))
-    off = np.zeros(N)
-    for v, rho_v in enumerate(rates.rho):
-        if rho_v == 0.0:
-            continue
-        law = _state_kernel(system, digits, kernels, v)
-        for c in range(len(system.colors)):
-            moving = digits[:, v] != c
-            move = rho_v * law[moving, c]
-            P[states[moving], _move_targets(system, digits, v, c)[moving]] = move
-            off[moving] += move
-    P[states, states] = 1.0 - off
-    return ReversibleChain(graph, P)
+    edge_keys = graph.ends[:, 0] * N + graph.ends[:, 1]    # ascending, as ends is sorted
+    flows = np.zeros(len(edge_keys))
+    for v, c, s, t in _raising_moves(system, digits):
+        ids = np.minimum(np.searchsorted(edge_keys, s * N + t), len(edge_keys) - 1)
+        if not np.array_equal(edge_keys[ids], s * N + t):
+            raise ValueError("graph lacks a single-site move of the system")
+        flows[ids] = graph.pi[s] * (rates.rho[v] * _state_kernel(system, digits, kernels, v)[s, c])
+    return ReversibleChain(graph, flows)
 
 
 def kbar(system):

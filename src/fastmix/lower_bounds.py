@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import _float_array, _node_ids
+from .chains import _float_array, _node_ids, _read_json
 from .families import torus_coordinates
 
 FEASIBILITY_SLACK = 1e-9   # constructions hit constraints with equality
@@ -77,7 +77,7 @@ class Embedding:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(_read_json(path, "embedding"))
 
 
 def embedding_violations(graph, emb, slack=FEASIBILITY_SLACK):
@@ -136,7 +136,7 @@ def specified_chain_bound(chain, vectors):
         raise ValueError(f"vectors not centered under pi: |sum| = {center:.3e}")
     ei, ej = chain.graph.ends.T
     d2 = np.sum((vectors[ei] - vectors[ej]) ** 2, axis=1)
-    dirichlet = float(np.sum(d2 * pi[ei] * chain.P[ei, ej]))
+    dirichlet = float(np.sum(d2 * chain.flows))
     if not (dirichlet > 1e-300):
         raise ValueError("degenerate input: all vectors equal across every edge")
     return float(pi @ np.sum(vectors ** 2, axis=1)) / dirichlet

@@ -60,8 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ReversibleChain, chain_from_flows, max_closed_neighborhood_mass,
-                     saturate_flows, validate_chain)
+from .chains import ReversibleChain, max_degree_chain, saturate_flows, validate_chain
 from .lower_bounds import Embedding, embedding_bound
 # the solver never calls ``spectrum``: it stays imported because perfbench
 # wraps it at every module that names it and asserts ``solver.spectrum``
@@ -363,7 +362,7 @@ def _cover_slacks(pi, ei, ej, lengths):
 def _certify(barrier, q, chol):
     """Saturated primal chain and dual embedding of the barrier iterate."""
     graph = barrier.graph
-    chain = chain_from_flows(graph, saturate_flows(graph, q))
+    chain = ReversibleChain(graph, saturate_flows(graph, q))
     report = validate_chain(chain)
     if report:
         raise RuntimeError("solver produced an infeasible chain: " + report[0])
@@ -379,9 +378,9 @@ def _certify(barrier, q, chol):
 def solve_fastest_mixing(graph, config=None):
     """The fastest chain on ``graph`` and an embedding certifying it.
 
-    Starts from half the max-degree chain's flows pi(i) pi(j) / pi_*, read
-    off the edge arrays, and gamma = 0, where L(q) + u u^T is positive
-    definite because the graph is connected.
+    Starts from half the max-degree chain's flows pi(i) pi(j) / pi_* and
+    gamma = 0, where L(q) + u u^T is positive definite because the graph is
+    connected.
     """
     config = config or SolverConfig()
     n = graph.n
@@ -389,8 +388,7 @@ def solve_fastest_mixing(graph, config=None):
         raise ValueError("need at least two states")
     barrier = _Barrier(graph)
     ei, ej, pi = barrier.ei, barrier.ej, graph.pi
-    # the operations of pi[:, None] * max_degree_chain(graph).P at the edges
-    q = 0.5 * (pi[ei] * (pi[ej] / max_closed_neighborhood_mass(graph)))
+    q = 0.5 * max_degree_chain(graph).flows
     gamma = 0.0
     chol = barrier.factor(q, gamma)
     # nu barrier terms bound the gap at a centre by nu/t; start where that

@@ -85,12 +85,6 @@ def symmetrized(chain):
     return 0.5 * (S + S.T)
 
 
-def _require_valid(chain):
-    report = validate_chain(chain)
-    if report:
-        raise ValueError("invalid chain: " + "; ".join(report[:3]))
-
-
 def summarize(eigenvalues):
     """Summary of a chain's symmetrized eigenvalues, given in descending order.
 
@@ -114,7 +108,9 @@ def summarize(eigenvalues):
 
 def spectrum(chain):
     """Full spectrum of a valid reversible chain, by Jacobi rotations (see :func:`summarize`)."""
-    _require_valid(chain)
+    report = validate_chain(chain)
+    if report:
+        raise ValueError("invalid chain: " + "; ".join(report[:3]))
     return summarize(jacobi_eigvalsh(symmetrized(chain)))
 
 
@@ -132,4 +128,4 @@ def rayleigh_quotient(chain, g):
     if var <= 1e-300:
         raise ValueError("g is constant pi-a.e.: zero variance")
     ei, ej = chain.graph.ends.T
-    return float(np.sum((g[ei] - g[ej]) ** 2 * pi[ei] * chain.P[ei, ej])) / var
+    return float(np.sum((g[ei] - g[ej]) ** 2 * chain.flows)) / var

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (TransitionGraph, chain_from_flows, max_closed_neighborhood_mass,
+from .chains import (ReversibleChain, TransitionGraph, max_closed_neighborhood_mass,
                      saturate_flows)
 from .lower_bounds import vertex_expansion
 
@@ -119,10 +119,7 @@ def congestion(chain, paths):
     An edge carrying load but zero flow makes the bound vacuous; it is
     reported as +inf with the offending edge as argmax.
     """
-    graph = chain.graph
-    W = paths.loads
-    ei, ej = graph.ends.T
-    q = graph.pi[ei] * chain.P[ei, ej]
+    graph, W, q = chain.graph, paths.loads, chain.flows
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(q > 0.0, W / q, np.where(W > 0.0, math.inf, 0.0))
     worst = int(np.argmax(ratios))          # the first maximum
@@ -150,7 +147,7 @@ def equalize_congestion(graph, paths):
     padded[np.arange(len(owners)) + owners + 1] = W[graph.star_edges]
     star_sums = np.add.reduceat(padded, graph.star_offsets[:-1] + np.arange(graph.n))
     rho_star = (star_sums / graph.pi).max()
-    return chain_from_flows(graph, saturate_flows(graph, W / rho_star))
+    return ReversibleChain(graph, saturate_flows(graph, W / rho_star))
 
 
 def cheeger_bound_from_expansion(graph, upsilon):

@@ -14,8 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from fastmix import glauber, solver
-from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
-                            max_degree_chain, validate_chain)
+from fastmix.chains import ReversibleChain, TransitionGraph, validate_chain
 from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
 from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, shortest_path_system
@@ -55,7 +54,7 @@ def random_valid_chain(rng, graph):
         P[i, j] = flows[k] / graph.pi[i]
         P[j, i] = flows[k] / graph.pi[j]
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    chain = ReversibleChain(graph, P)
+    chain = ReversibleChain.from_matrix(graph, P)
     assert validate_chain(chain) == []
     return chain
 
@@ -263,19 +262,14 @@ def closed_neighborhood_mass_reference(graph):
                      for i in range(graph.n)]).max()
 
 
-def max_degree_chain_reference(graph):
-    """P of the max-degree chain, filled edge by edge."""
+def max_degree_flows_reference(graph):
+    """Flows pi(i) (pi(j)/pi_*) of the max-degree chain, edge by edge."""
     pi = graph.pi
     pi_star = closed_neighborhood_mass_reference(graph)
-    P = np.zeros((graph.n, graph.n))
-    for i, j in graph.edges:
-        P[i, j] = pi[j] / pi_star
-        P[j, i] = pi[i] / pi_star
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return P
+    return np.array([pi[i] * (pi[j] / pi_star) for i, j in graph.edges])
 
 
-def chain_from_flows_reference(graph, q):
+def matrix_from_flows_reference(graph, q):
     """P of the chain with edge flows ``q``, filled edge by edge."""
     P = np.zeros((graph.n, graph.n))
     for k, (i, j) in enumerate(graph.edges):
@@ -299,7 +293,7 @@ def congestion_reference(chain, W):
     loads, ratios = {}, {}
     rho_bar, argmax = 0.0, None
     for k, (i, j) in enumerate(graph.edges):
-        q = graph.pi[i] * chain.P[i, j]
+        q = chain.flows[k]
         loads[(i, j)] = float(W[k])
         if q > 0.0:
             ratio = float(W[k] / q)
@@ -314,11 +308,11 @@ def congestion_reference(chain, W):
 
 
 def dirichlet_reference(chain, vectors):
-    """sum over edges of |psi(i) - psi(j)|^2 pi(i) P(i, j), added edge by edge."""
+    """sum over edges of |psi(i) - psi(j)|^2 Q(i, j), added edge by edge."""
     vectors = np.asarray(vectors, dtype=float).reshape(chain.graph.n, -1)
     total = 0.0
-    for i, j in chain.graph.edges:
-        total += float(np.sum((vectors[i] - vectors[j]) ** 2)) * chain.pi[i] * chain.P[i, j]
+    for k, (i, j) in enumerate(chain.graph.edges):
+        total += float(np.sum((vectors[i] - vectors[j]) ** 2)) * chain.flows[k]
     return total
 
 
@@ -482,7 +476,7 @@ def solve_reference(graph, config=None):
     n = graph.n
     barrier = solver._Barrier(graph)
     ei, ej = barrier.ei, barrier.ej
-    q = 0.5 * (graph.pi[:, None] * max_degree_chain(graph).P)[ei, ej]
+    q = 0.5 * max_degree_flows_reference(graph)
     gamma = 0.0
     chol = barrier.factor(q, gamma)
     nu = len(q) + 2 * n - 1
@@ -592,7 +586,7 @@ def grid_oracle(graph, resolution):
             best_lambda = float(lams[k])
             best_q = block[k].copy()
 
-    chain = chain_from_flows(graph, best_q)
+    chain = ReversibleChain(graph, best_q)
     return OracleResult(chain=chain, lambda2=best_lambda,
                         spacing=float(caps.max() / resolution))
 

@@ -1,31 +1,41 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
+from fastmix.chains import (ReversibleChain, TransitionGraph, _dense_violations,
                             edge_flow, fit_to_budgets, load_chain_csv,
                             max_closed_neighborhood_mass, max_degree_chain,
                             saturate_flows, save_chain_csv, symmetric_walk,
                             validate_chain)
 from fastmix.families import cycle_graph, complete_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import specified_chain_bound
-from fastmix.spectral import rayleigh_quotient
+from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
 from helpers import (REFERENCE_GRAPHS, canonical_edges_reference,
-                     chain_from_flows_reference, closed_neighborhood_mass_reference,
-                     congestion_reference, connected_reference,
-                     dirichlet_reference, equalized_rho_reference, layout_graphs,
-                     max_degree_chain_reference, random_connected_graph, random_valid_chain,
-                     support_reference, uneven_pi)
+                     closed_neighborhood_mass_reference, congestion_reference,
+                     connected_reference, dirichlet_reference, equalized_rho_reference,
+                     layout_graphs, matrix_from_flows_reference, max_degree_flows_reference,
+                     random_connected_graph, random_valid_chain, support_reference,
+                     uneven_pi)
 
 
 def flip_chain():
     graph = TransitionGraph(2, [(0, 1)])
-    return ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+    return ReversibleChain.from_matrix(graph, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def dense_report(graph, P):
+    """Every dense violation of ``P``; ``from_matrix`` must refuse it, naming the first three."""
+    report = _dense_violations(graph, np.asarray(P, dtype=float))
+    assert report
+    with pytest.raises(ValueError, match=re.escape("invalid chain: " + "; ".join(report[:3]))):
+        ReversibleChain.from_matrix(graph, P)
+    return report
 
 
 class TestTransitionGraph:
@@ -133,13 +143,15 @@ def layout_checks(graph):
                                            for j in graph.neighbors(i)]
     pi_star = max_closed_neighborhood_mass(graph)
     assert pi_star.hex() == closed_neighborhood_mass_reference(graph).hex()
-    assert max_degree_chain(graph).P.tobytes() == max_degree_chain_reference(graph).tobytes()
+    standard = max_degree_chain(graph)
+    assert standard.flows.tobytes() == max_degree_flows_reference(graph).tobytes()
+    assert standard.P.tobytes() == matrix_from_flows_reference(graph, standard.flows).tobytes()
     q = rng.uniform(0.0, 1.0, size=len(edges)) * graph.pi.min() / max(n - 1, 1)
-    assert chain_from_flows(graph, q).P.tobytes() == \
-        chain_from_flows_reference(graph, q).tobytes()
+    assert ReversibleChain(graph, q).P.tobytes() == \
+        matrix_from_flows_reference(graph, q).tobytes()
     # every off-diagonal entry carries mass: the non-edges are reported
     allowed = support_reference(graph) | np.eye(n, dtype=bool)
-    report = validate_chain(ReversibleChain(graph, np.full((n, n), 1.0 / n)))
+    report = _dense_violations(graph, np.full((n, n), 1.0 / n))
     assert [msg for msg in report if "non-edge" in msg] == \
         [f"mass {1.0 / n:.3e} on non-edge ({i},{j})" for i, j in np.argwhere(~allowed)]
     if n > 1:
@@ -158,8 +170,7 @@ def layout_checks(graph):
         W = paths.loads
         rho = equalized_rho_reference(graph, W)
         equalized = equalize_congestion(graph, paths)
-        assert equalized.P.tobytes() == \
-            chain_from_flows(graph, saturate_flows(graph, W / rho)).P.tobytes()
+        assert equalized.flows.tobytes() == saturate_flows(graph, W / rho).tobytes()
         for chain in (equalized, max_degree_chain(graph)):
             report = congestion(chain, paths)
             loads, ratios, rho_bar, argmax = congestion_reference(chain, W)
@@ -220,46 +231,107 @@ class TestEdgeLayoutReference:
 
 class TestValidateChain:
     def test_flip_chain_valid(self):
-        assert validate_chain(flip_chain()) == []
+        chain = flip_chain()
+        assert validate_chain(chain) == []
+        assert chain.flows.tolist() == [0.5]
 
     def test_row_sum_violation_reported(self):
         graph = TransitionGraph(2, [(0, 1)])
-        chain = ReversibleChain(graph, [[0.5, 0.6], [0.6, 0.4]])
-        report = validate_chain(chain)
+        report = dense_report(graph, [[0.5, 0.6], [0.6, 0.4]])
         assert len(report) == 1
         assert "row 0" in report[0]
 
     def test_off_edge_mass_reported(self):
         graph = TransitionGraph(3, [(0, 1), (1, 2)])
         P = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
-        report = validate_chain(chain := ReversibleChain(graph, P))
-        assert any("non-edge (0,2)" in msg for msg in report)
-        assert chain.P[0, 2] == 0.25
+        report = dense_report(graph, P)
+        assert report[0] == "mass 2.500e-01 on non-edge (0,2)"
 
     def test_detailed_balance_violation_reported(self):
         graph = TransitionGraph(2, [(0, 1)], [0.25, 0.75])
-        chain = ReversibleChain(graph, [[0.5, 0.5], [0.5, 0.5]])
-        report = validate_chain(chain)
+        report = dense_report(graph, [[0.5, 0.5], [0.5, 0.5]])
         assert any("detailed balance" in msg for msg in report)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_entries_reported(self, bad):
         graph = TransitionGraph(2, [(0, 1)])
-        assert validate_chain(ReversibleChain(graph, np.full((2, 2), bad))) != []
-        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, bad]])
-        assert any("row 1" in msg for msg in validate_chain(chain))
+        assert dense_report(graph, np.full((2, 2), bad)) != []
+        report = dense_report(graph, [[0.0, 1.0], [1.0, bad]])
+        assert any("row 1" in msg for msg in report)
 
     def test_nan_off_edge_entry_reported(self):
         graph = TransitionGraph(3, [(0, 1), (1, 2)])
         P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
         P[0, 2] = float("nan")
-        report = validate_chain(ReversibleChain(graph, P))
+        report = dense_report(graph, P)
         assert any("non-edge (0,2)" in msg for msg in report)
+
+    def test_dense_shape_checked(self):
+        graph = TransitionGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=re.escape("P has shape (2, 2), expected (3,3)")):
+            ReversibleChain.from_matrix(graph, np.eye(2))
+        with pytest.raises(ValueError, match="not an array of numbers"):
+            ReversibleChain.from_matrix(graph, [[1.0, 0.0, 0.0], [0.0, 1.0]])
+
+    def test_dense_matrix_read_as_its_edge_flows(self):
+        # the flows are pi(i) P(i,j) of each edge i < j; the diagonal is recomputed
+        graph = TransitionGraph(3, [(0, 1), (1, 2)], [0.25, 0.5, 0.25])
+        P = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
+        chain = ReversibleChain.from_matrix(graph, P)
+        assert chain.flows.tolist() == [0.125, 0.125]
+        assert np.array_equal(chain.P, P)
+
+    def test_flows_must_match_the_edges(self):
+        graph = TransitionGraph(2, [(0, 1)])
+        with pytest.raises(ValueError, match=re.escape("flows have shape (2, 2), expected (1,)")):
+            ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_flows_and_matrix_read_only(self):
+        chain = max_degree_chain(knkn_graph(3))
+        assert not chain.flows.flags.writeable and not chain.P.flags.writeable
+        assert chain.P is chain.P
+
+    @pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf"), -float("inf")])
+    def test_bad_flow_reported(self, bad):
+        graph = TransitionGraph(3, [(0, 1), (1, 2)])
+        report = validate_chain(ReversibleChain(graph, [0.1, bad]))
+        assert report[0] == f"negative or non-finite flow q(1,2) = {bad:.3e}"
+
+    def test_overloaded_node_reported(self):
+        graph = TransitionGraph(3, [(0, 1), (1, 2)])      # pi = 1/3 each
+        report = validate_chain(ReversibleChain(graph, [0.2, 0.2]))
+        assert len(report) == 1
+        assert report[0].startswith("node 1 has load 0.4 over pi(1) = 0.333")
+        assert float(report[0].rsplit("= ", 1)[1].rstrip(")")) == \
+            pytest.approx(1.0 - 0.4 * 3, rel=1e-3)
+
+    def test_flow_tolerances(self):
+        graph = TransitionGraph(2, [(0, 1)])
+        for q, ok in [(-1e-13, True), (-1e-11, False), (0.5 * (1 + 1e-13), True),
+                      (0.5 * (1 + 1e-11), False)]:
+            assert (validate_chain(ReversibleChain(graph, [q])) == []) == ok
 
     def test_equalized_linked_cliques_chain_valid(self):
         graph = knkn_graph(3)
         chain = equalize_congestion(graph, shortest_path_system(graph))
         assert validate_chain(chain) == []
+
+    def test_path_chains_stay_linear(self):
+        # nothing here touches the dense P: at n = 10^5 it alone would ask for 80 GB
+        n = 100_000
+        graph = TransitionGraph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+        g = np.cos(np.arange(n))
+        tracemalloc.start()
+        try:
+            chain = max_degree_chain(graph)
+            assert validate_chain(chain) == []
+            assert rayleigh_quotient(chain, g) > 0.0
+            assert specified_chain_bound(chain, g - graph.pi @ g) > 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "P" not in vars(chain)
+        assert peak < 32 * 2 ** 20
 
 
 class TestEdgeFlow:
@@ -271,8 +343,14 @@ class TestEdgeFlow:
         for _ in range(20):
             graph = random_connected_graph(rng, int(rng.integers(2, 9)))
             chain = random_valid_chain(rng, graph)
-            for i, j in graph.edges:
-                assert abs(edge_flow(chain, i, j) - edge_flow(chain, j, i)) <= 1e-10
+            for k, (i, j) in enumerate(graph.edges):
+                assert edge_flow(chain, i, j) == edge_flow(chain, j, i) == chain.flows[k]
+                assert abs(edge_flow(chain, i, j) - graph.pi[j] * chain.P[j, i]) <= 1e-10
+
+    def test_non_edge_rejected(self):
+        graph = TransitionGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(KeyError):
+            edge_flow(max_degree_chain(graph), 2, 0)
 
     def test_equalized_bridge_flow_closed_form(self):
         graph = knkn_graph(3)
@@ -349,6 +427,11 @@ class TestSymmetricWalk:
         with pytest.raises(ValueError, match="uniform"):
             symmetric_walk(graph)
 
+    def test_non_regular_graph_rejected(self):
+        # a walk on the path 0-1-2 would break detailed balance at node 1
+        with pytest.raises(ValueError, match=r"not regular \(degrees 1 to 2\)"):
+            symmetric_walk(TransitionGraph(3, [(0, 1), (1, 2)]))
+
 
 class TestSerialization:
     def test_graph_round_trip(self, tmp_path):
@@ -371,4 +454,9 @@ class TestSerialization:
         path = tmp_path / "chain.csv"
         save_chain_csv(chain, path)
         back = load_chain_csv(graph, path)
-        assert np.array_equal(back.P, chain.P)
+        # read back as the flows of the written matrix; the diagonal is recomputed
+        ei, ej = graph.ends.T
+        assert back.flows.tobytes() == (graph.pi[ei] * chain.P[ei, ej]).tobytes()
+        assert np.allclose(back.P, chain.P, rtol=0.0, atol=1e-15)
+        assert spectrum(back).relaxation_time == \
+            pytest.approx(spectrum(chain).relaxation_time, rel=1e-12)

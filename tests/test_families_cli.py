@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fastmix import cli, experiments, families
-from fastmix.chains import TransitionGraph
-from fastmix.solver import SolverConfig
+from fastmix.chains import TransitionGraph, max_degree_chain
+from fastmix.solver import SolverConfig, solve_fastest_mixing
+from fastmix.spectral import spectrum
+from fastmix.upper_bounds import equalize_congestion, shortest_path_system
 from helpers import random_connected_graph
 
 
@@ -48,14 +50,86 @@ def _spoiled(draw, data):
     return data
 
 
+# nested past the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _json_text(draw, data):
+    """``data`` spoiled (see ``_spoiled``) as JSON text, now and then nested too deeply."""
+    if draw(st.integers(0, 15)) == 0:
+        return DEEP_JSON
+    return json.dumps(_spoiled(draw, data))
+
+
+def _chain_csv(draw, graph):
+    """The max-degree chain of ``graph`` as CSV bytes, valid or broken in one way.
+
+    Returns the bytes and what ``spectral --chain`` must print to stderr:
+    None where the file is valid, else the parse error or the first dense
+    violation it holds.
+    """
+    n = graph.n
+    P = max_degree_chain(graph).P.copy()
+    non_edges = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and not graph.has_edge(i, j)]
+    kinds = ["valid", "empty", "text", "nan", "inf", "bytes", "shape", "negative"]
+    kinds += ["ragged", "balance"] if n > 1 else []
+    kinds += ["off_edge"] if non_edges else []
+    kind = draw(st.sampled_from(kinds))
+    i, j = draw(st.sampled_from(graph.edges)) if n > 1 else (0, 0)
+    expect = None
+    if kind in ("nan", "inf"):
+        P[i, j] = float(kind)
+        expect = f"invalid chain: negative or non-finite entry P[{i},{j}] = {P[i, j]:.3e}"
+    elif kind == "negative":
+        P[i, j] = -0.125
+        expect = f"invalid chain: negative or non-finite entry P[{i},{j}] = -1.250e-01"
+    elif kind == "off_edge":
+        # mass moved from the diagonal keeps the row sum
+        i, j = draw(st.sampled_from(non_edges))
+        shift = P[i, i] / 2
+        P[i, i] -= shift
+        P[i, j] = shift
+        expect = f"invalid chain: mass {shift:.3e} on non-edge ({i},{j})"
+    elif kind == "balance":
+        shift = P[i, i] / 2
+        P[i, i] -= shift
+        P[i, j] += shift
+        expect = f"invalid chain: detailed balance broken on ({min(i, j)},{max(i, j)})"
+    rows = [[repr(float(x)) for x in row] for row in P]
+    if kind == "ragged":
+        rows[0].pop()
+        expect = "not an array of numbers"
+    elif kind == "text":
+        rows[0][0] = "abc"
+        expect = "could not convert string to float: 'abc'"
+    elif kind == "shape":
+        rows = [row + ["0.0"] for row in rows]
+        expect = f"P has shape ({n}, {n + 1}), expected ({n},{n})"
+    text = "".join(",".join(row) + "\n" for row in rows).encode()
+    if kind == "empty":
+        return b"", "P has shape (0,), expected"
+    if kind == "bytes":
+        return b"\xff\xfe" + text, "invalid input: "
+    return text, expect
+
+
 @st.composite
 def instance_files(draw):
-    """Graph JSON and embedding JSON on up to 6 nodes, each valid or spoiled."""
+    """Graph JSON, embedding JSON and chain CSV on up to 6 nodes.
+
+    Each file is valid or spoiled.  ``intact`` says whether the graph file
+    is the valid one, against which the CSV's expected message holds.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 6))
-    graph = random_connected_graph(rng, n).to_json_dict()
+    graph = random_connected_graph(rng, n)
+    valid = json.dumps(graph.to_json_dict())
+    graph_text = _json_text(draw, graph.to_json_dict())
     embedding = {"d": 1, "psi": [[0.0]] * n, "w": [1.0] * n}
-    return _spoiled(draw, graph), _spoiled(draw, embedding)
+    chain, expect = _chain_csv(draw, graph)
+    return {"graph": graph_text, "embedding": _json_text(draw, embedding),
+            "chain": chain, "expect": expect, "intact": graph_text == valid}
 
 
 class TestGenerators:
@@ -376,6 +450,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert "non-finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["upper", "solve"])
+    def test_chain_csv_round_trip(self, tmp_path, capsys, command):
+        # the written chain, read back as its edge flows, has the spectrum of
+        # the chain computed in process
+        graph = random_connected_graph(np.random.default_rng(12), 8)
+        gpath, cpath = tmp_path / "g.json", tmp_path / "chain.csv"
+        graph.save(gpath)
+        if command == "upper":
+            chain = equalize_congestion(graph, shortest_path_system(graph))
+        else:
+            chain = solve_fastest_mixing(graph).chain
+        assert cli.main([command, str(gpath), "--out-chain", str(cpath)]) == 0
+        assert json.loads(capsys.readouterr().out)["chain_csv"] == str(cpath)
+        assert cli.main(["spectral", str(gpath), "--chain", str(cpath)]) == 0
+        expected = spectrum(chain).relaxation_time
+        assert json.loads(capsys.readouterr().out)["relaxation_time"] == \
+            pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_walk_on_a_non_regular_graph_exits_2(self, tmp_path, capsys):
+        gpath = tmp_path / "path.json"
+        TransitionGraph(3, [(0, 1), (1, 2)]).save(gpath)
+        assert cli.main(["spectral", str(gpath), "--standard", "walk"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "not regular" in captured.err and captured.out == ""
+
     def test_upper_computes_loads_once(self, tmp_path, capsys, monkeypatch):
         from fastmix import upper_bounds
         calls = []
@@ -569,18 +668,26 @@ class TestCli:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(instance_files())
+    @example({"graph": DEEP_JSON, "embedding": DEEP_JSON, "chain": b"1.0\n",
+              "expect": None, "intact": False})
     def test_hostile_files_exit_0_or_2(self, tmp_path, capsys, files):
-        graph, embedding = files
-        gpath, epath = tmp_path / "g.json", tmp_path / "e.json"
-        gpath.write_text(json.dumps(graph))
-        epath.write_text(json.dumps(embedding))
+        gpath, epath, cpath = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "c.csv"
+        gpath.write_text(files["graph"])
+        epath.write_text(files["embedding"])
+        cpath.write_bytes(files["chain"])
         for argv in (["lower", str(gpath)], ["lower", str(gpath), "--embedding", str(epath)],
-                     ["upper", str(gpath)]):
+                     ["upper", str(gpath)], ["solve", str(gpath)],
+                     ["spectral", str(gpath), "--chain", str(cpath)]):
             code = cli.main(argv)
             captured = capsys.readouterr()
             assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
             if code == cli.EXIT_VALIDATION:
                 assert captured.out == ""
+        # the last command read the chain CSV; on the valid graph its outcome is known
+        if files["intact"] and files["expect"] is None:
+            assert code == cli.EXIT_OK
+        elif files["intact"]:
+            assert code == cli.EXIT_VALIDATION and files["expect"] in captured.err
 
 
 def test_python_m_fastmix_solves(tmp_path):

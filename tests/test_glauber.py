@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastmix.chains import validate_chain
+from fastmix.chains import TransitionGraph, validate_chain
 from fastmix.families import ising_tree
 from fastmix.glauber import (DENSE_STATE_CAP, RateVector, SpinSystem, TreeSpec,
                              build_glauber_chain, check_rate_improvement_limits,
@@ -126,7 +127,8 @@ def scalar_reference(system, rho):
     """Transition matrix and kbar entry by entry with scalar floats.
 
     Products run over the sorted neighbors and sums left to right, the
-    order the vectorized kernel keeps, so the two must agree bitwise.
+    order the vectorized kernel keeps, so each move P(s, t) times pi(s) must
+    give the chain's flow bitwise.
     """
     q, N = len(system.colors), system.n_states
     P = np.zeros((N, N))
@@ -164,7 +166,16 @@ class TestKernelProperties:
     def test_matches_scalar_reference_bitwise(self, case):
         system, rates = case
         P, kb = scalar_reference(system, rates.rho)
-        assert np.array_equal(build_glauber_chain(system, rates).P, P)
+        chain = build_glauber_chain(system, rates)
+        s, t = chain.graph.ends.T
+        pi = gibbs_distribution(system)
+        assert chain.flows.tobytes() == (pi[s] * P[s, t]).tobytes()
+        # the reverse side pi(t) rho_v K_v(t, a), computed on its own
+        np.testing.assert_allclose(chain.flows, pi[t] * P[t, s], rtol=1e-12, atol=0)
+        off_edges = P - np.diag(np.diag(P))
+        off_edges[s, t] = off_edges[t, s] = 0.0
+        assert not off_edges.any()
+        np.testing.assert_allclose(chain.P, P, rtol=1e-12, atol=1e-15)
         assert kbar(system) == kb
 
     @settings(max_examples=40, deadline=None)
@@ -219,6 +230,9 @@ class TestGlauberChain:
         sys_ = ising_edge(1.0)
         chain = build_glauber_chain(sys_, uniform_rates(2))
         pi = gibbs_distribution(sys_)
+        P, _ = scalar_reference(sys_, uniform_rates(2).rho)
+        for k, (x, y) in enumerate(chain.graph.edges):
+            assert chain.flows[k] == pytest.approx(pi[y] * P[y, x], rel=1e-12, abs=0)
         for x in range(4):
             for y in range(4):
                 assert abs(pi[x] * chain.P[x, y] - pi[y] * chain.P[y, x]) <= 1e-10
@@ -237,7 +251,7 @@ class TestGlauberChain:
         shared = build_glauber_chain(system, rates, graph)
         own = build_glauber_chain(system, rates)
         assert shared.graph is graph
-        assert np.array_equal(shared.P, own.P)
+        assert shared.flows.tobytes() == own.flows.tobytes()
         assert shared.graph.edges == own.graph.edges
         assert np.array_equal(shared.pi, own.pi)
         assert np.array_equal(graph.pi, gibbs_distribution(system))
@@ -246,6 +260,26 @@ class TestGlauberChain:
         with pytest.raises(ValueError, match="graph has 4 nodes"):
             build_glauber_chain(ising_tree(3, 1, 0.5)[1], uniform_rates(4),
                                 configuration_graph(ising_edge(0.4)))
+
+    def test_graph_must_hold_every_move(self):
+        # the path 0-1-2-3 lacks the move 0 -> 2 of the edge's second site
+        with pytest.raises(ValueError, match="lacks a single-site move"):
+            build_glauber_chain(ising_edge(0.4), uniform_rates(2),
+                                TransitionGraph(4, [(0, 1), (1, 2), (2, 3)]))
+
+    def test_build_allocates_no_dense_matrix(self):
+        # 512 states: a dense float matrix would take 2 MiB
+        _, system = ising_tree(8, 1, 0.5)
+        graph = configuration_graph(system)
+        tracemalloc.start()
+        try:
+            chain = build_glauber_chain(system, uniform_rates(system.n_sites), graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.n_states == DENSE_STATE_CAP
+        assert "P" not in vars(chain) and peak < 2 ** 20
+        assert validate_chain(chain) == []
 
     def test_dense_state_cap(self):
         # ten isolated sites: 1024 states, past the cap, rejected before any

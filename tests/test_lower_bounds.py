@@ -91,7 +91,7 @@ class TestNonFiniteEmbeddings:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_specified_chain_bound_rejects_non_finite_vectors(self, bad):
         graph = TransitionGraph(2, [(0, 1)])
-        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+        chain = ReversibleChain(graph, [0.5])
         with pytest.raises(ValueError, match="finite"):
             specified_chain_bound(chain, [bad, -1.0])
 
@@ -99,7 +99,7 @@ class TestNonFiniteEmbeddings:
 class TestSpecifiedChainBound:
     def test_flip_chain(self):
         graph = TransitionGraph(2, [(0, 1)])
-        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+        chain = ReversibleChain(graph, [0.5])
         assert specified_chain_bound(chain, [1.0, -1.0]) == pytest.approx(0.5)
 
     def test_cycle_walks_exact(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastmix import solver
-from fastmix.chains import TransitionGraph, chain_from_flows, saturate_flows, validate_chain
+from fastmix.chains import ReversibleChain, TransitionGraph, saturate_flows, validate_chain
 from fastmix.experiments import SANDWICH_SLACK
 from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
                               knkn_graph, path_graph, torus_graph)
@@ -145,7 +145,7 @@ class TestBarrier:
         q = 0.3 * saturate_flows(graph, np.full(len(graph.ends), 1.0))
         gamma = 0.01
         u = np.sqrt(graph.pi)
-        S = symmetrized(chain_from_flows(graph, q))
+        S = symmetrized(ReversibleChain(graph, q))
         N = (1.0 - gamma) * np.eye(graph.n) - S + (1.0 + gamma) * np.outer(u, u)
         chol = barrier.factor(q, gamma)
         np.testing.assert_allclose(chol @ chol.T, N, rtol=0, atol=1e-14)

@@ -33,13 +33,14 @@ class TestJacobi:
 
 class TestSpectrum:
     def test_identity_chain_has_infinite_relaxation(self):
-        chain = ReversibleChain(complete_graph(3), np.eye(3))
+        chain = ReversibleChain(complete_graph(3), np.zeros(3))
+        assert np.array_equal(chain.P, np.eye(3))
         summary = spectrum(chain)
         assert summary.lambda2 == pytest.approx(1.0)
         assert summary.relaxation_time == math.inf
 
     def test_complete_graph_chain(self):
-        chain = ReversibleChain(complete_graph(3), np.full((3, 3), 1 / 3))
+        chain = ReversibleChain.from_matrix(complete_graph(3), np.full((3, 3), 1 / 3))
         summary = spectrum(chain)
         assert np.allclose(summary.eigenvalues, [1.0, 0.0, 0.0], atol=1e-12)
         assert summary.relaxation_time == pytest.approx(1.0)
@@ -72,15 +73,16 @@ class TestSpectrum:
 
     def test_rejects_invalid_chain(self):
         graph = TransitionGraph(2, [(0, 1)], [0.25, 0.75])
-        chain = ReversibleChain(graph, [[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="invalid chain"):
-            spectrum(chain)
+        with pytest.raises(ValueError, match="invalid chain: detailed balance"):
+            ReversibleChain.from_matrix(graph, [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="invalid chain: node 0 has load 0.5"):
+            spectrum(ReversibleChain(graph, [0.5]))
 
 
 class TestRayleigh:
     def test_flip_chain(self):
         graph = TransitionGraph(2, [(0, 1)])
-        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+        chain = ReversibleChain(graph, [0.5])
         assert rayleigh_quotient(chain, [1.0, -1.0]) == pytest.approx(2.0)
 
     def test_cycle_hand_value(self):

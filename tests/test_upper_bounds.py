@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fastmix.chains import (ReversibleChain, TransitionGraph, chain_from_flows,
-                            max_degree_chain, validate_chain)
+from fastmix.chains import ReversibleChain, TransitionGraph, max_degree_chain, validate_chain
 from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import expansion_lower_bound
 from fastmix.solver import SolverConfig, solve_fastest_mixing
@@ -136,7 +135,7 @@ class TestCongestion:
     def test_flip_chain_value(self):
         # single pair, unit length: W = pi(0) pi(1) = 1/4 over Q = 1/2
         graph = TransitionGraph(2, [(0, 1)])
-        chain = ReversibleChain(graph, [[0.0, 1.0], [1.0, 0.0]])
+        chain = ReversibleChain.from_matrix(graph, [[0.0, 1.0], [1.0, 0.0]])
         report = congestion(chain, shortest_path_system(graph))
         assert report.rho_bar == pytest.approx(0.5)
         assert spectrum(chain).relaxation_time <= report.rho_bar + 1e-12
@@ -144,7 +143,7 @@ class TestCongestion:
     def test_zero_flow_loaded_edge_is_infinite(self):
         graph = cycle_graph(4)
         flows = np.array([0.25, 0.25, 0.25, 0.0])
-        chain = chain_from_flows(graph, flows)
+        chain = ReversibleChain(graph, flows)
         report = congestion(chain, shortest_path_system(graph))
         assert report.rho_bar == math.inf
         assert report.argmax_edge == (2, 3)
@@ -158,8 +157,8 @@ class TestEqualizeCongestion:
         for n in range(3, 9):
             graph = knkn_graph(n)
             chain = equalize_congestion(graph, shortest_path_system(graph))
-            q_bridge = graph.pi[0] * chain.P[0, n]
-            q_spoke = graph.pi[0] * chain.P[0, 1]
+            q_bridge = chain.flows[graph.edge_index[(0, n)]]
+            q_spoke = chain.flows[graph.edge_index[(0, 1)]]
             assert q_bridge == pytest.approx((3 * n - 2) / (2 * n * (6 * n - 5)), abs=1e-8)
             assert q_spoke == pytest.approx(3 / (2 * n * (6 * n - 5)), abs=1e-8)
 
