@@ -212,8 +212,9 @@ class ReversibleChain:
     ``flows[k]`` is q = pi(i) P(i,j) = pi(j) P(j,i) on edge k of
     ``graph.ends``; each self-loop keeps the rest of its node's mass.
     Construction only checks the length; :func:`validate_chain` checks
-    feasibility.  The dense ``P`` is built on first use (spectra, CSV), and
-    :meth:`from_matrix` is the one way in from a dense matrix.
+    feasibility.  The dense ``P`` is built on first use, which only the CSV
+    writer makes (spectra build S from the flows), and :meth:`from_matrix`
+    is the one way in from a dense matrix.
     """
 
     def __init__(self, graph, flows):
@@ -227,19 +228,23 @@ class ReversibleChain:
     @classmethod
     def from_matrix(cls, graph, P):
         """The chain of its edge flows pi(i) P(i,j), i < j, once P passes the
-        dense checks; ValueError names their first violations otherwise."""
+        dense checks and these flows pass :func:`validate_chain` (a row sum
+        within ``STOCHASTIC_TOL`` of one can still leave a diagonal below
+        ``-NONNEG_TOL``); ValueError names the first violations otherwise."""
         P = _float_array(P, "P")
         if P.shape != (graph.n, graph.n):
             raise ValueError(f"P has shape {P.shape}, expected ({graph.n},{graph.n})")
-        report = _dense_violations(graph, P)
+        ei, ej = graph.ends.T
+        chain = cls(graph, graph.pi[ei] * P[ei, ej])
+        report = _dense_violations(graph, P) or validate_chain(chain)
         if report:
             raise ValueError("invalid chain: " + "; ".join(report[:3]))
-        ei, ej = graph.ends.T
-        return cls(graph, graph.pi[ei] * P[ei, ej])
+        return chain
 
     @functools.cached_property
     def P(self):
-        """Read-only dense matrix: q/pi(i) at (i, j), each row's rest on the diagonal."""
+        """Read-only dense matrix: q/pi(i) at (i, j), each row's rest on the
+        diagonal; only the CSV writer reads it (spectra use ``symmetrized``)."""
         g = self.graph
         ei, ej = g.ends.T
         P = np.zeros((g.n, g.n))

@@ -41,8 +41,10 @@ ends anyway: when the Newton budget is spent, and after a centring that
 took no step.  Centres in the window are centred to a Newton decrement^2/2
 of CENTERING_TOL, so their certificates are taken at tightly centred
 points; the others only to LOOSE_CENTERING_TOL, as the predictor needs no
-more.  A solve that starts at its optimum (uniform pi on a complete graph)
-certifies only once its centres reach the window.  The solve stops
+more.  A centring also ends when rounding stalls it: when the line search
+finds no step, or its accepted step leaves (q, gamma) unchanged.  A solve
+that starts at its optimum (uniform pi on a complete graph) certifies only
+once its centres reach the window.  The solve stops
 (``SolverResult.stop``) once the certified gap (tau - lb)/tau is at most
 CERTIFIED_GAP ("certified"), once it stops improving from one certificate
 to the next ("no_improvement"), or after ``max_iters`` Newton steps
@@ -414,7 +416,9 @@ def solve_fastest_mixing(graph, config=None):
             if history and -float(grad @ step) <= 2.0 * tol:
                 break
             moved = barrier.line_search(q, gamma, t, chol, grad, step)
-            if moved is None:       # rounding has stalled the line search
+            # rounding has stalled the line search, or its accepted step
+            # leaves the iterate where it was
+            if moved is None or (moved[1] == gamma and np.array_equal(moved[0], q)):
                 break
             q, gamma, chol = moved
             history.append(1.0 - gamma)

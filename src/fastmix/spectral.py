@@ -2,11 +2,11 @@
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` (``D = diag(pi)``) symmetric,
 so the full spectrum of P is real.  Every output reads eigenvalues only, so
-they are computed here, without eigenvectors, by a cyclic Jacobi rotation
-sweep, which is dependency-free and robust for the dense, modest sized
-matrices this package deals with.  A test function's Rayleigh quotient
-bounds the gap ``1 - lambda2`` from above by the variational
-characterization.
+they are computed here from S, built straight from the edge flows, without
+eigenvectors, by cyclic Jacobi sweeps of whole-array rounds in elementwise
+numpy (no BLAS, so bitwise repeatable at any thread count).  A test
+function's Rayleigh quotient bounds the gap ``1 - lambda2`` from above by
+the variational characterization.
 """
 
 from __future__ import annotations
@@ -23,44 +23,59 @@ UNIT_EIGENVALUE_TOL = 1e-9
 REDUCIBLE_TOL = 1e-12      # lambda2 this close to 1 means +inf relaxation
 
 
+def _rotate(X, Y, c, s, T, U):
+    """Overwrite X and Y with c X - s Y and s X + c Y, through the buffers T and U."""
+    np.multiply(X, c, out=T)
+    np.multiply(Y, s, out=U)
+    T -= U
+    np.multiply(X, s, out=U)
+    Y *= c
+    Y += U
+    X[...] = T
+
+
 def jacobi_eigvalsh(A, off_tol=JACOBI_OFF_TOL, max_sweeps=100):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps rotate every (p, q) pair in row order until the off-diagonal
-    Frobenius norm drops below ``off_tol``, and the eigenvalues are the
-    diagonal left behind, sorted in descending order.  No eigenvectors are
-    accumulated.  Deterministic: identical input gives bitwise identical
-    output.
+    Sweeps rotate every (p, q) pair once until the off-diagonal Frobenius
+    norm drops below ``off_tol``; the eigenvalues are the diagonal left
+    behind, sorted in descending order.  A sweep is m - 1 rounds of disjoint
+    pairs (m = n, or n + 1 with a zero row and column), in the round-robin
+    ordering of Brent and Luk (1985): the copy is kept in ring order, a round
+    rotates the columns, then the rows, of all pairs (k, m - 1 - k) at once,
+    and the ring turns.  No eigenvectors are accumulated.  Deterministic:
+    identical input gives bitwise identical output.
     """
-    A = np.array(A, dtype=float, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    M = np.asarray(A, dtype=float)
+    n = M.shape[0]
+    if M.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return np.array([A[0, 0]])
-
+    m, h = n + n % 2, (n + 1) // 2
+    A, work = np.zeros((m, m)), np.empty((m, m))
+    A[:n, :n] = M
+    back = slice(m - 1, h - 1, -1)      # the partners of positions 0..h-1
+    d, anti = A.diagonal(), A.reshape(-1)[m - 1:-1:m - 1]   # anti[k] = A[k, m-1-k]
+    turn = ((slice(0, 1), slice(0, 1)), (slice(1, 2), slice(m - 1, m)),
+            (slice(2, m), slice(1, m - 1)))
     for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2))
-        if off < off_tol:
+        np.fill_diagonal(np.multiply(A, A, out=work), 0.0)
+        if math.sqrt(np.sum(work)) < off_tol:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * rp - s * rq
-                A[:, q] = s * rp + c * rq
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                A[p, q] = A[q, p] = 0.0
-
-    w = np.diag(A).copy()
+        for _ in range(m - 1):
+            live = np.abs(anti[:h]) >= 1e-300      # the others get c = 1, s = 0
+            theta = (d[back] - d[:h]) / (2.0 * np.where(live, anti[:h], 1.0))
+            t = np.where(live, np.copysign(1.0, theta)
+                         / (np.abs(theta) + np.hypot(theta, 1.0)), 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            _rotate(A[:, :h], A[:, back], c, s, *work.reshape(2, m, h))
+            _rotate(A[:h], A[back], c[:, None], s[:, None], *work.reshape(2, h, m))
+            anti[:] = 0.0
+            np.copyto(work, A)              # turn the ring: position m - 1 to 1
+            for rows, from_rows in turn:
+                for cols, from_cols in turn:
+                    A[rows, cols] = work[from_rows, from_cols]
+    w = A.diagonal()[:n].copy()
     return w[np.argsort(-w, kind="stable")]
 
 
@@ -79,10 +94,14 @@ class SpectralSummary:
 
 
 def symmetrized(chain):
-    """Return S = D^{1/2} P D^{-1/2}, averaged to kill rounding asymmetry."""
-    s = np.sqrt(chain.pi)
-    S = s[:, None] * chain.P / s[None, :]
-    return 0.5 * (S + S.T)
+    """S = D^{1/2} P D^{-1/2} from the flows: q/sqrt(pi(i) pi(j)) at (i, j)
+    and (j, i) of each edge, 1 - load(i)/pi(i) on the diagonal."""
+    g, q = chain.graph, chain.flows
+    ei, ej = g.ends.T
+    loads = np.bincount(g.star_owners, weights=q[g.star_edges], minlength=g.n)
+    S = np.diag(1.0 - loads / g.pi)
+    S[ei, ej] = S[ej, ei] = q / np.sqrt(g.pi[ei] * g.pi[ej])
+    return S
 
 
 def summarize(eigenvalues):

@@ -279,6 +279,38 @@ def matrix_from_flows_reference(graph, q):
     return P
 
 
+def jacobi_eigvalsh_reference(A, off_tol=1e-12, max_sweeps=100):
+    """``spectral.jacobi_eigvalsh`` as one rotation at a time, the pairs in
+    row order, with the same formulas; descending eigenvalues."""
+    A = np.array(A, dtype=float, copy=True)
+    n = A.shape[0]
+    for _ in range(max_sweeps):
+        if math.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2)) < off_tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) < 1e-300:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = A[:, p].copy(), A[:, q].copy()
+                A[:, p], A[:, q] = c * rp - s * rq, s * rp + c * rq
+                rp, rq = A[p, :].copy(), A[q, :].copy()
+                A[p, :], A[q, :] = c * rp - s * rq, s * rp + c * rq
+                A[p, q] = A[q, p] = 0.0
+    return np.sort(np.diag(A))[::-1]
+
+
+def symmetrized_reference(chain):
+    """S = D^{1/2} P D^{-1/2} from the dense P, averaged to kill rounding asymmetry."""
+    s = np.sqrt(chain.pi)
+    S = s[:, None] * chain.P / s[None, :]
+    return 0.5 * (S + S.T)
+
+
 def support_reference(graph):
     """validate_chain's support: off-diagonal entries allowed mass, edge by edge."""
     allowed = np.zeros((graph.n, graph.n), dtype=bool)
@@ -494,7 +526,7 @@ def solve_reference(graph, config=None):
             if history and -float(grad @ step) <= 2.0 * tol:
                 break
             moved = barrier.line_search(q, gamma, t, chol, grad, step)
-            if moved is None:
+            if moved is None or (moved[1] == gamma and np.array_equal(moved[0], q)):
                 break
             q, gamma, chol = moved
             history.append(1.0 - gamma)

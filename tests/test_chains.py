@@ -281,6 +281,16 @@ class TestValidateChain:
         assert chain.flows.tolist() == [0.125, 0.125]
         assert np.array_equal(chain.P, P)
 
+    def test_row_sum_within_tolerance_but_negative_diagonal_refused(self, tmp_path):
+        # each row sums to 1 + 5e-11 (within STOCHASTIC_TOL), so the dense
+        # checks pass, but the flows leave the diagonal at -5e-11
+        graph = TransitionGraph(2, [(0, 1)])
+        path = tmp_path / "over.csv"
+        path.write_text("0.0,1.00000000005\n1.00000000005,0.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid chain: node 0 has load 0.500000000025 over pi(0) = 0.5")):
+            load_chain_csv(graph, path)
+
     def test_flows_must_match_the_edges(self):
         graph = TransitionGraph(2, [(0, 1)])
         with pytest.raises(ValueError, match=re.escape("flows have shape (2, 2), expected (1,)")):

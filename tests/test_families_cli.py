@@ -670,6 +670,10 @@ class TestCli:
     @given(instance_files())
     @example({"graph": DEEP_JSON, "embedding": DEEP_JSON, "chain": b"1.0\n",
               "expect": None, "intact": False})
+    # row sums within the dense tolerance, but a diagonal of -5e-11 from the flows
+    @example({"graph": '{"n": 2, "edges": [[0, 1]]}', "embedding": "{}",
+              "chain": b"0.0,1.00000000005\n1.00000000005,0.0\n",
+              "expect": "invalid chain: node 0 has load 0.500000000025", "intact": True})
     def test_hostile_files_exit_0_or_2(self, tmp_path, capsys, files):
         gpath, epath, cpath = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "c.csv"
         gpath.write_text(files["graph"])
@@ -677,6 +681,7 @@ class TestCli:
         cpath.write_bytes(files["chain"])
         for argv in (["lower", str(gpath)], ["lower", str(gpath), "--embedding", str(epath)],
                      ["upper", str(gpath)], ["solve", str(gpath)],
+                     ["report", "--family", "custom", "--sweep", f"path={gpath}"],
                      ["spectral", str(gpath), "--chain", str(cpath)]):
             code = cli.main(argv)
             captured = capsys.readouterr()

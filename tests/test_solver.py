@@ -103,6 +103,18 @@ class TestStopReason:
         assert result.iterations == 1
         assert result.certified_gap > CERTIFIED_GAP
 
+    def test_step_that_leaves_the_iterate_unchanged_ends_the_centring(self, monkeypatch):
+        # rounding can make the line search accept a step that does not move
+        # (q, gamma); such a centring must end, not spin out the Newton budget
+        monkeypatch.setattr(solver._Barrier, "line_search",
+                            lambda self, q, gamma, t, chol, grad, step: (q, gamma, chol))
+        graph = torus_graph(4, 2)
+        result = solve_fastest_mixing(graph)
+        assert result.iterations == 0
+        assert result.stop in ("certified", "no_improvement")
+        assert validate_chain(result.chain) == []
+        assert 0.0 < result.lower_bound <= result.tau2_star
+
 
 def test_newton_steps_with_one_blas_thread():
     # the predictor follows the central path: restarting each centre from

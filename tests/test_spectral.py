@@ -3,24 +3,65 @@ import math
 import numpy as np
 import pytest
 
-from fastmix.chains import ReversibleChain, TransitionGraph
-from fastmix.families import complete_graph, cycle_graph
+from fastmix.chains import ReversibleChain, TransitionGraph, max_degree_chain
+from fastmix.families import complete_graph, cycle_graph, torus_graph
 from fastmix.spectral import (jacobi_eigvalsh, rayleigh_quotient, spectrum, summarize,
                               symmetrized)
 from fastmix.chains import symmetric_walk
-from helpers import (check_rayleigh_dominates_gap, random_connected_graph,
-                     random_valid_chain)
+from helpers import (check_rayleigh_dominates_gap, jacobi_eigvalsh_reference,
+                     random_connected_graph, random_valid_chain, symmetrized_reference)
+
+
+def _symmetric_inputs():
+    """Random symmetric matrices of odd and even n from 2 to 65; a diagonal
+    one (no rotation); tridiagonal and block-diagonal ones, whose rounds hold
+    exactly-zero pairs; and the torus 8x8 max-degree S (repeated eigenvalues)."""
+    rng = np.random.default_rng(0)
+    for n in range(2, 66):
+        A = rng.normal(size=(n, n))
+        yield f"random{n}", 0.5 * (A + A.T)
+    yield "diagonal", np.diag(rng.normal(size=9))
+    for n in (9, 10):
+        off = rng.normal(size=n - 1)
+        yield f"tridiagonal{n}", np.diag(rng.normal(size=n)) + np.diag(off, 1) + np.diag(off, -1)
+    A = rng.normal(size=(4, 4))
+    yield "block-diagonal", np.kron(np.eye(3), A + A.T)
+    yield "torus8x8", symmetrized(max_degree_chain(torus_graph(8, 2)))
+
+
+SYMMETRIC_INPUTS = dict(_symmetric_inputs())
 
 
 class TestJacobi:
-    def test_matches_lapack_on_random_symmetric(self):
-        rng = np.random.default_rng(0)
-        for n in (2, 3, 5, 8, 12, 20):
-            A = rng.normal(size=(n, n))
-            A = 0.5 * (A + A.T)
-            w = jacobi_eigvalsh(A)
-            w_ref = np.linalg.eigvalsh(A)[::-1]
-            assert np.allclose(w, w_ref, atol=1e-10)
+    @pytest.mark.parametrize("A", SYMMETRIC_INPUTS.values(), ids=SYMMETRIC_INPUTS.keys())
+    def test_matches_lapack_on_random_symmetric(self, A):
+        w = jacobi_eigvalsh(A)
+        w_ref = np.linalg.eigvalsh(A)[::-1]
+        assert np.allclose(w, w_ref, atol=1e-10)
+        assert np.array_equal(w, jacobi_eigvalsh(A))
+        if len(A) <= 16:    # one rotation at a time: rounding differs, not the method
+            assert np.allclose(w, jacobi_eigvalsh_reference(A), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_every_pair_is_rotated(self, n):
+        # one off-diagonal pair (i, j): a sweep that missed it would never converge
+        d = np.arange(1.0, n + 1.0)
+        for i in range(n):
+            for j in range(i + 1, n):
+                A = np.diag(d)
+                A[i, j] = A[j, i] = 0.5
+                mid, half = 0.5 * (d[i] + d[j]), math.hypot(0.5 * (d[j] - d[i]), 0.5)
+                expected = np.sort(np.r_[np.delete(d, [i, j]), mid - half, mid + half])[::-1]
+                assert np.allclose(jacobi_eigvalsh(A, max_sweeps=3), expected, atol=1e-14)
+
+    def test_one_by_one(self):
+        assert jacobi_eigvalsh([[2.5]]).tolist() == [2.5]
+
+    def test_leaves_its_input_alone(self):
+        A = symmetrized(max_degree_chain(torus_graph(3, 2)))
+        before = A.copy()
+        jacobi_eigvalsh(A)
+        assert np.array_equal(A, before)
 
     def test_descending_order(self):
         w = jacobi_eigvalsh(np.diag([3.0, -1.0, 7.0]))
@@ -135,3 +176,18 @@ def test_symmetrized_is_symmetric():
     chain = random_valid_chain(rng, graph)
     S = symmetrized(chain)
     assert np.array_equal(S, S.T)
+
+
+def test_symmetrized_matches_the_dense_formula():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        graph = random_connected_graph(rng, int(rng.integers(2, 12)))
+        chain = random_valid_chain(rng, graph)
+        assert np.allclose(symmetrized(chain), symmetrized_reference(chain),
+                           rtol=0.0, atol=1e-15)
+
+
+def test_spectrum_builds_no_dense_p():
+    chain = max_degree_chain(torus_graph(4, 2))
+    spectrum(chain)
+    assert "P" not in vars(chain)
