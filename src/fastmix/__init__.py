@@ -6,13 +6,13 @@ from .lower_bounds import (Embedding, embedding_bound, expansion_lower_bound,
                            specified_chain_bound, vertex_expansion)
 from .solver import SolverConfig, SolverResult, solve_fastest_mixing
 from .spectral import SpectralSummary, rayleigh_quotient, spectrum
-from .upper_bounds import (PathSystem, cheeger_upper_bound, congestion,
-                           equalize_congestion, shortest_path_system)
+from .upper_bounds import (cheeger_upper_bound, congestion, equalize_congestion,
+                           shortest_path_system)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Embedding", "PathSystem", "ReversibleChain", "SolverConfig", "SolverResult",
+    "Embedding", "ReversibleChain", "SolverConfig", "SolverResult",
     "SpectralSummary", "TransitionGraph", "cheeger_upper_bound", "congestion",
     "edge_flow", "embedding_bound", "equalize_congestion", "expansion_lower_bound",
     "max_degree_chain", "rayleigh_quotient", "shortest_path_system",

@@ -19,6 +19,8 @@ import numpy as np
 PI_SUM_TOL = 1e-12      # normalization of the stationary distribution
 STOCHASTIC_TOL = 1e-10  # row sums / detailed balance of a dense matrix
 NONNEG_TOL = 1e-12      # nonnegative flows and diagonals, off-edge zeros
+SATURATE_SWEEPS = 500   # fair-share sweeps of saturate_flows at most
+SATURATE_TOL = 1e-15    # budget and flow increments below it count as zero
 
 
 def _integral(value):
@@ -343,7 +345,7 @@ def symmetric_walk(graph):
     return ReversibleChain(graph, 1.0 / (graph.n * degree[graph.ends[:, 0]]))
 
 
-def saturate_flows(graph, flows, sweeps=500, tol=1e-15):
+def saturate_flows(graph, flows):
     """Grow symmetric edge flows to a maximal point inside the node budgets.
 
     Fair-share sweeps: every edge whose two endpoints both have residual
@@ -356,8 +358,8 @@ def saturate_flows(graph, flows, sweeps=500, tol=1e-15):
     np.subtract.at(resid, ei, q)
     np.subtract.at(resid, ej, q)
     resid = np.maximum(resid, 0.0)
-    for _ in range(sweeps):
-        open_edge = (resid[ei] > tol) & (resid[ej] > tol)
+    for _ in range(SATURATE_SWEEPS):
+        open_edge = (resid[ei] > SATURATE_TOL) & (resid[ej] > SATURATE_TOL)
         if not open_edge.any():
             break
         free = np.zeros(graph.n)
@@ -365,7 +367,7 @@ def saturate_flows(graph, flows, sweeps=500, tol=1e-15):
         np.add.at(free, ej[open_edge], 1.0)
         share = np.divide(resid, free, out=np.zeros_like(resid), where=free > 0)
         delta = np.where(open_edge, np.minimum(share[ei], share[ej]), 0.0)
-        if delta.max() <= tol:
+        if delta.max() <= SATURATE_TOL:
             break
         q += delta
         np.subtract.at(resid, ei, delta)

@@ -82,9 +82,9 @@ def cmd_lower(args):
 
 def cmd_upper(args):
     graph = TransitionGraph.load(args.graph)
-    paths = upper_bounds.shortest_path_system(graph)
-    equalized = upper_bounds.equalize_congestion(graph, paths)
-    report = upper_bounds.congestion(equalized, paths)
+    loads = upper_bounds.shortest_path_system(graph)
+    equalized = upper_bounds.equalize_congestion(graph, loads)
+    report = upper_bounds.congestion(equalized, loads)
     payload = report.to_json_dict()
     if graph.n <= lower_bounds.EXHAUSTIVE_NODE_CAP:
         payload["ub_cheeger"] = upper_bounds.cheeger_upper_bound(graph)

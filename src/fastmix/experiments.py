@@ -78,9 +78,9 @@ def _graph_row(spec, graph):
         lb_expansion = expansion.value
         ub_cheeger = upper_bounds.cheeger_bound_from_expansion(graph, expansion.upsilon)
 
-    paths = upper_bounds.shortest_path_system(graph)
-    equalized = upper_bounds.equalize_congestion(graph, paths)
-    ub_congestion = upper_bounds.congestion(equalized, paths).rho_bar
+    loads = upper_bounds.shortest_path_system(graph)
+    equalized = upper_bounds.equalize_congestion(graph, loads)
+    ub_congestion = upper_bounds.congestion(equalized, loads).rho_bar
     tau2_standard = spectrum(max_degree_chain(graph)).relaxation_time
 
     tau = result.tau2_star

@@ -5,12 +5,12 @@ The path of x < y walks from x, and each step goes to the smallest
 neighbour one hop closer to y.  On a shortest path that neighbour is also
 one hop further from x, so the walk is the lexicographically smallest
 shortest path as seen from x, and the walks into one root y form a BFS tree
-rooted at y.  ``shortest_path_system`` builds the n trees at once over the
-graph's CSR stars and keeps them as one n x n array of star positions,
-O(n^2) memory, with O(n m) more while it runs.  The path loads W(e) depend
-only on (graph, pi, paths), so it computes them once, with the trees.
+rooted at y.  Every output of the bound reads only the path loads W(e), so
+``shortest_path_system`` returns just W, one entry per row of ``graph.ends``:
+it builds the n trees at once over the graph's CSR stars, in O(n m) memory
+while it runs, sums W over them and keeps none of them.
 
-The congestion of a path system bounds tau2 of any chain on the instance,
+The congestion of the path system bounds tau2 of any chain on the instance,
 and the bound can be minimized over edge flows.  ``equalize_congestion``
 performs that minimization exactly: the optimum puts flow proportional to
 load, pinned by the most loaded node star.
@@ -28,34 +28,12 @@ from .chains import (ReversibleChain, TransitionGraph, max_closed_neighborhood_m
 from .lower_bounds import vertex_expansion
 
 
-@dataclass(frozen=True, eq=False)
-class PathSystem:
-    """One shortest path per node pair, stored as each root's BFS tree, and its loads.
-
-    ``hop[v, y]`` is the position in ``graph.star_nodes`` of v's step towards
-    y, its smallest neighbour one hop closer to y; the diagonal holds the
-    past-the-end position 2m.  ``path(x, y)`` follows ``hop`` from the smaller
-    endpoint to the larger one, so the (y, x) query is the exact reversal of
-    the (x, y) one.  ``loads[e]`` is W(e), the sum of pi(x) pi(y) d(x, y)
-    over the pairs x < y whose path uses edge e.  Both arrays are read-only;
-    ``hop`` holds n^2 int32 entries and no path is stored.
-    """
-
-    graph: TransitionGraph
-    hop: np.ndarray
-    loads: np.ndarray
-
-    def path(self, x, y):
-        """The node sequence from x to y."""
-        a, b = min(x, y), max(x, y)
-        nodes = [a]
-        while nodes[-1] != b:
-            nodes.append(int(self.graph.star_nodes[self.hop[nodes[-1], b]]))
-        return tuple(nodes) if x <= y else tuple(nodes[::-1])
-
-
 def shortest_path_system(graph):
-    """Every root's BFS tree, built for all roots at once, with the path loads W.
+    """The path loads W, read-only, one per row of ``graph.ends``.
+
+    W(e) is the sum of pi(x) pi(y) d(x, y) over the pairs x < y whose path
+    uses edge e.  Every root's BFS tree is built for all roots at once, and
+    none is kept.
 
     Hop distances grow one BFS level per pass: a node joins root y's next
     level when some neighbour is on its frontier, one OR over each star.  A
@@ -81,54 +59,62 @@ def shortest_path_system(graph):
     closer = dist[nodes] == dist[graph.star_owners] - 1
     position = np.arange(len(nodes), dtype=np.int32)[:, None]
     hop = np.minimum.reduceat(np.where(closer, position, np.int32(len(nodes))),
-                              starts, axis=0)
-
-    flat_hop = hop.ravel()
+                              starts, axis=0).ravel()
     acc = np.where(np.arange(n)[:, None] < np.arange(n), pi[:, None] * dist, 0.0).ravel()
     for level in range(depth - 1, 0, -1):
         pair = np.flatnonzero(dist == level)            # v n + y, ascending
-        above = nodes[flat_hop[pair]] * n + pair % n
+        above = nodes[hop[pair]] * n + pair % n
         acc += np.bincount(above, weights=acc[pair], minlength=n * n)
     pair = np.flatnonzero(dist > 0)
-    loads = np.bincount(graph.star_edges[flat_hop[pair]], weights=pi[pair % n] * acc[pair],
+    loads = np.bincount(graph.star_edges[hop[pair]], weights=pi[pair % n] * acc[pair],
                         minlength=len(graph.ends))
-    hop.flags.writeable = False
     loads.flags.writeable = False
-    return PathSystem(graph, hop, loads)
+    return loads
 
 
-@dataclass(frozen=True)
+def _edge_loads(graph, loads):
+    """``loads`` as W, after checking it has one entry per edge of ``graph``."""
+    if np.shape(loads) != (len(graph.ends),):
+        raise ValueError(f"loads have shape {np.shape(loads)}, expected one per edge "
+                         f"({len(graph.ends)},)")
+    return np.asarray(loads, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
 class CongestionReport:
-    """Per-edge loads and load/flow ratios; rho_bar is the worst ratio."""
+    """Per-edge loads W and load/flow ratios, in the order of ``graph.ends``;
+    rho_bar is the worst ratio and argmax_edge its first edge."""
 
-    edge_loads: dict
-    ratios: dict
+    graph: TransitionGraph
+    loads: np.ndarray
+    ratios: np.ndarray
     rho_bar: float
     argmax_edge: tuple
 
     def to_json_dict(self):
-        return {"W": {f"{i},{j}": w for (i, j), w in self.edge_loads.items()},
-                "ratios": {f"{i},{j}": r for (i, j), r in self.ratios.items()},
+        keys = [f"{i},{j}" for i, j in self.graph.ends.tolist()]
+        return {"W": dict(zip(keys, self.loads.tolist())),
+                "ratios": dict(zip(keys, self.ratios.tolist())),
                 "rho_bar": self.rho_bar,
                 "argmax_edge": list(self.argmax_edge)}
 
 
-def congestion(chain, paths):
-    """Canonical-paths congestion of a chain: tau2(chain) <= rho_bar.
+def congestion(chain, loads):
+    """Canonical-paths congestion of a chain under path loads W: tau2(chain) <= rho_bar.
 
     An edge carrying load but zero flow makes the bound vacuous; it is
     reported as +inf with the offending edge as argmax.
     """
-    graph, W, q = chain.graph, paths.loads, chain.flows
+    graph, q = chain.graph, chain.flows
+    W = _edge_loads(graph, loads)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(q > 0.0, W / q, np.where(W > 0.0, math.inf, 0.0))
     worst = int(np.argmax(ratios))          # the first maximum
-    return CongestionReport(edge_loads=dict(zip(graph.edges, W.tolist())),
-                            ratios=dict(zip(graph.edges, ratios.tolist())),
-                            rho_bar=float(ratios[worst]), argmax_edge=graph.edges[worst])
+    return CongestionReport(graph=graph, loads=W, ratios=ratios, rho_bar=float(ratios[worst]),
+                            argmax_edge=tuple(graph.ends[worst].tolist()))
 
 
-def equalize_congestion(graph, paths):
+def equalize_congestion(graph, loads):
     """Flows minimizing the congestion of a fixed path system.
 
     Ratios W(e)/Q(e) <= rho are jointly feasible iff every node star fits its
@@ -138,7 +124,7 @@ def equalize_congestion(graph, paths):
     can only lower the other ratios) and any remaining mass stays on the
     self-loops.
     """
-    W = paths.loads
+    W = _edge_loads(graph, loads)
     # W[star].sum() per star, rounded alike: that is 0.0 plus numpy's pairwise
     # sum (unlike a sequential one from 8 terms up), which add.reduceat
     # computes over stars led by a 0.0 each
@@ -153,15 +139,17 @@ def equalize_congestion(graph, paths):
 def cheeger_bound_from_expansion(graph, upsilon):
     """Cheeger bound through the max-degree chain: (pi_*/pi_0)^2 * 2/Upsilon^2.
 
-    ``upsilon`` is the graph's vertex expansion, as returned by
-    ``vertex_expansion`` or carried by ``expansion_lower_bound``.
+    ``upsilon`` must be the graph's vertex expansion, the minimum over every
+    cut, as returned by ``vertex_expansion(graph)`` or carried by
+    ``expansion_lower_bound(graph)``.  A minimum over only some cuts can
+    exceed it, and the value it gives is then no upper bound.
     """
     pi_star = max_closed_neighborhood_mass(graph)
     pi_0 = graph.pi.min()
     return float((pi_star / pi_0) ** 2 * 2.0 / upsilon ** 2)
 
 
-def cheeger_upper_bound(graph, candidates=None):
-    """Cheeger bound, computing the vertex expansion (over ``candidates`` if given)."""
-    upsilon, _ = vertex_expansion(graph, candidates)
+def cheeger_upper_bound(graph):
+    """Cheeger bound, computing the vertex expansion over every cut."""
+    upsilon, _ = vertex_expansion(graph)
     return cheeger_bound_from_expansion(graph, upsilon)

@@ -320,20 +320,20 @@ def support_reference(graph):
 
 
 def congestion_reference(chain, W):
-    """Per-edge loads and ratios, rho_bar and the first worst edge, by a loop."""
+    """Per-edge loads and ratios in edge order, rho_bar and the first worst edge, by a loop."""
     graph = chain.graph
-    loads, ratios = {}, {}
+    loads, ratios = np.zeros(len(graph.edges)), np.zeros(len(graph.edges))
     rho_bar, argmax = 0.0, None
     for k, (i, j) in enumerate(graph.edges):
         q = chain.flows[k]
-        loads[(i, j)] = float(W[k])
+        loads[k] = W[k]
         if q > 0.0:
             ratio = float(W[k] / q)
         elif W[k] > 0.0:
             ratio = math.inf
         else:
             ratio = 0.0
-        ratios[(i, j)] = ratio
+        ratios[k] = ratio
         if ratio > rho_bar or argmax is None:
             rho_bar, argmax = ratio, (i, j)
     return loads, ratios, rho_bar, argmax

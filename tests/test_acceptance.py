@@ -229,9 +229,9 @@ def test_criterion_12_property_suite():
         chain = random_valid_chain(rng, graph)
         rows = (graph.pi[:, None] * chain.P).sum(axis=1)
         assert np.all(np.abs(rows - graph.pi) <= 1e-10)
-        paths = shortest_path_system(graph)
-        rho_eq = congestion(equalize_congestion(graph, paths), paths).rho_bar
-        rho_pd = congestion(max_degree_chain(graph), paths).rho_bar
+        W = shortest_path_system(graph)
+        rho_eq = congestion(equalize_congestion(graph, W), W).rho_bar
+        rho_pd = congestion(max_degree_chain(graph), W).rho_bar
         assert rho_eq <= rho_pd + 1e-9
     elapsed = time.monotonic() - t0
     verdict(12, True, f"seeded property suite re-ran green in {elapsed:.1f}s")

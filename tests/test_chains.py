@@ -166,16 +166,16 @@ def layout_checks(graph):
         assert specified_chain_bound(chain, psi) == pytest.approx(
             float(graph.pi @ np.sum(psi ** 2, axis=1)) / dirichlet_reference(chain, psi),
             rel=1e-12)
-        paths = shortest_path_system(graph)
-        W = paths.loads
+        W = shortest_path_system(graph)
         rho = equalized_rho_reference(graph, W)
-        equalized = equalize_congestion(graph, paths)
+        equalized = equalize_congestion(graph, W)
         assert equalized.flows.tobytes() == saturate_flows(graph, W / rho).tobytes()
         for chain in (equalized, max_degree_chain(graph)):
-            report = congestion(chain, paths)
+            report = congestion(chain, W)
             loads, ratios, rho_bar, argmax = congestion_reference(chain, W)
-            assert (report.edge_loads, report.ratios, report.argmax_edge) == \
-                (loads, ratios, argmax)
+            assert report.loads.tobytes() == loads.tobytes()
+            assert report.ratios.tobytes() == ratios.tobytes()
+            assert report.argmax_edge == argmax
             assert report.rho_bar.hex() == rho_bar.hex()
 
 

@@ -12,11 +12,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fastmix import cli, experiments, families
-from fastmix.chains import TransitionGraph, max_degree_chain
+from fastmix.chains import ReversibleChain, TransitionGraph, max_degree_chain
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from fastmix.upper_bounds import equalize_congestion, shortest_path_system
-from helpers import random_connected_graph
+from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
+from helpers import congestion_reference, random_connected_graph
 
 
 # hostile JSON: every kind of value, nested, in place of a field or an entry
@@ -347,9 +347,8 @@ class TestExperiments:
             experiments.ExperimentSpec(family="knkn", params={"n": 4}))
         assert len(calls) == 1
         graph = families.knkn_graph(4)
-        paths = upper_bounds.shortest_path_system(graph)
-        alone = upper_bounds.congestion(upper_bounds.equalize_congestion(graph, paths),
-                                        paths).rho_bar
+        W = upper_bounds.shortest_path_system(graph)
+        alone = upper_bounds.congestion(upper_bounds.equalize_congestion(graph, W), W).rho_bar
         assert row["ub_congestion"] == alone
 
     def test_write_rows_csv(self, tmp_path):
@@ -364,6 +363,21 @@ class TestExperiments:
         # the JSON row also carries certified_gap; the CSV columns do not
         assert "certified_gap" in rows[0]
         assert len(next(csv.reader([text[1]]))) == len(experiments.GRAPH_COLUMNS)
+
+
+def check_upper_payload(graph, chain, payload):
+    """The ``fastmix upper`` JSON of ``chain``: W and ratios keyed "i,j" in edge
+    order, bitwise the loop's values; argmax_edge a list naming the worst
+    ratio, which is rho_bar."""
+    W = shortest_path_system(graph)
+    loads, ratios, rho_bar, argmax = congestion_reference(chain, W)
+    keys = [f"{i},{j}" for i, j in graph.ends.tolist()]
+    assert list(payload["W"]) == list(payload["ratios"]) == keys
+    assert np.array(list(payload["W"].values())).tobytes() == loads.tobytes()
+    assert np.array(list(payload["ratios"].values())).tobytes() == ratios.tobytes()
+    assert payload["argmax_edge"] == list(argmax)
+    assert payload["rho_bar"] == rho_bar == max(payload["ratios"].values())
+    assert payload["ratios"]["{},{}".format(*payload["argmax_edge"])] == rho_bar
 
 
 class TestCli:
@@ -403,6 +417,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rho_bar"] == pytest.approx(6.5)
         assert cpath.exists()
+
+    @pytest.mark.parametrize("graph", [families.knkn_graph(3), families.cycle_graph(5)],
+                             ids=["knkn3", "cycle5"])
+    def test_upper_json_contract(self, tmp_path, capsys, graph):
+        gpath = tmp_path / "g.json"
+        graph.save(gpath)
+        assert cli.main(["upper", str(gpath)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        chain = equalize_congestion(graph, shortest_path_system(graph))
+        check_upper_payload(graph, chain, payload)
+
+    def test_upper_json_contract_with_a_zero_flow_edge(self, capsys):
+        # the loaded edge (2,3) carries no flow: its ratio, and rho_bar, are +inf
+        graph = families.cycle_graph(4)
+        chain = ReversibleChain(graph, [0.25, 0.25, 0.25, 0.0])
+        cli._emit(congestion(chain, shortest_path_system(graph)).to_json_dict())
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rho_bar"] == math.inf and payload["argmax_edge"] == [2, 3]
+        check_upper_payload(graph, chain, payload)
 
     def test_solve_subcommand(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"

@@ -234,8 +234,8 @@ class TestDualCertificate:
         # the equalized chain is not optimal on knkn: the embedding bound is
         for n in (3, 4):
             graph = knkn_graph(n)
-            paths = shortest_path_system(graph)
-            equalized = spectrum(equalize_congestion(graph, paths)).relaxation_time
+            W = shortest_path_system(graph)
+            equalized = spectrum(equalize_congestion(graph, W)).relaxation_time
             result = solve_fastest_mixing(graph)
             assert result.tau2_star < equalized - 1e-3
 
@@ -339,8 +339,8 @@ def uneven_instances(draw):
 def test_certified_sandwich_property(graph):
     result = solve_fastest_mixing(graph)
     assert embedding_bound(graph, result.embedding) == result.lower_bound
-    paths = shortest_path_system(graph)
-    upper = congestion(equalize_congestion(graph, paths), paths).rho_bar
+    W = shortest_path_system(graph)
+    upper = congestion(equalize_congestion(graph, W), W).rho_bar
     assert result.lower_bound <= result.tau2_star <= upper + SANDWICH_SLACK
     assert result.certified_gap <= 1e-4
 
@@ -421,8 +421,8 @@ class TestSandwichCertification:
         for graph in cases:
             tau2 = solve_fastest_mixing(graph, config).tau2_star
             assert expansion_lower_bound(graph).value <= tau2 + 1e-6
-            paths = shortest_path_system(graph)
-            rho = congestion(equalize_congestion(graph, paths), paths).rho_bar
+            W = shortest_path_system(graph)
+            rho = congestion(equalize_congestion(graph, W), W).rho_bar
             assert tau2 <= rho + 1e-6
             assert tau2 <= cheeger_upper_bound(graph) + 1e-6
 

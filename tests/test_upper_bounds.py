@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -60,14 +61,10 @@ def reference_cases():
 
 
 def check_paths_and_loads(graph):
-    system = shortest_path_system(graph)
-    expected = reference_paths(graph)
-    for (x, y), nodes in expected.items():
-        assert system.path(x, y) == nodes
-        assert system.path(y, x) == nodes[::-1]
-    assert system.loads.tobytes() == tree_loads_reference(graph).tobytes()
+    W = shortest_path_system(graph)
+    assert W.tobytes() == tree_loads_reference(graph).tobytes()
     # the trees sum W in another order than the pairs do
-    np.testing.assert_allclose(system.loads, reference_loads(graph, expected),
+    np.testing.assert_allclose(W, reference_loads(graph, reference_paths(graph)),
                                rtol=1e-13, atol=0.0)
 
 
@@ -84,43 +81,42 @@ def test_paths_and_loads_match_the_loops_on_random_shapes(graph):
 
 class TestShortestPaths:
     def test_complete_graph_single_edges(self):
-        system = shortest_path_system(complete_graph(4))
-        for x in range(4):
-            for y in range(4):
-                if x != y:
-                    assert system.path(x, y) == (x, y)
+        # every pair is one edge: W = pi(x) pi(y) = 1/16 on each
+        assert shortest_path_system(complete_graph(4)).tolist() == [1 / 16] * 6
 
     def test_linked_cliques_cross_path(self):
-        # 0-indexed: node 1 and node 5 sit on opposite cliques, so the route
-        # has to cross the bridge (0,3)
-        system = shortest_path_system(knkn_graph(3))
-        assert system.path(1, 5) == (1, 0, 3, 5)
-        assert system.path(5, 1) == (5, 3, 0, 1)
+        # 0-indexed: every pair across the cliques crosses the bridge (0,3);
+        # the spoke (1,2) carries its own pair alone
+        graph = knkn_graph(3)
+        W = shortest_path_system(graph)
+        assert W[graph.edge_index[(0, 3)]] == pytest.approx(7 / 12, rel=1e-15)
+        assert W[graph.edge_index[(1, 2)]] == 1 / 36
 
     def test_cycle_tie_break(self):
-        system = shortest_path_system(cycle_graph(4))
-        assert system.path(0, 2) == (0, 1, 2)
-
-    def test_reversal_invariant(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            graph = random_connected_graph(rng, int(rng.integers(3, 9)))
-            system = shortest_path_system(graph)
-            for x in range(graph.n):
-                for y in range(graph.n):
-                    if x != y:
-                        assert system.path(x, y) == system.path(y, x)[::-1]
+        # both ties go to the smaller neighbour: the pair (0, 2) runs through
+        # 1 and (1, 3) through 0, so edge (0,1) carries three pairs, (2,3) one
+        graph = cycle_graph(4)
+        assert graph.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert shortest_path_system(graph).tolist() == [5 / 16, 3 / 16, 3 / 16, 1 / 16]
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="two nodes"):
             shortest_path_system(TransitionGraph(1, []))
 
     def test_arrays_are_read_only(self):
-        system = shortest_path_system(knkn_graph(3))
-        assert system.hop.shape == (6, 6) and system.loads.shape == (len(system.graph.edges),)
-        for array in (system.hop, system.loads):
-            with pytest.raises(ValueError):
-                array[0] = 1
+        W = shortest_path_system(knkn_graph(3))
+        assert W.shape == (7,) and W.dtype == np.float64
+        with pytest.raises(ValueError):
+            W[0] = 1
+
+    def test_loads_of_another_graph_rejected(self):
+        graph = knkn_graph(3)
+        chain = max_degree_chain(graph)
+        for loads in (shortest_path_system(cycle_graph(4)), np.ones(8), np.ones((7, 1)), []):
+            with pytest.raises(ValueError, match=r"expected one per edge \(7,\)"):
+                congestion(chain, loads)
+            with pytest.raises(ValueError, match=r"expected one per edge \(7,\)"):
+                equalize_congestion(graph, loads)
 
 
 class TestCongestion:
@@ -128,9 +124,10 @@ class TestCongestion:
         graph = knkn_graph(3)
         chain = max_degree_chain(graph)
         report = congestion(chain, shortest_path_system(graph))
-        assert report.edge_loads[(0, 3)] == pytest.approx(7 / 12, abs=1e-12)
-        assert report.edge_loads[(0, 1)] == pytest.approx(1 / 4, abs=1e-12)
-        assert report.edge_loads[(1, 2)] == pytest.approx(1 / 36, abs=1e-12)
+        loads = dict(zip(graph.edges, report.loads))
+        assert loads[(0, 3)] == pytest.approx(7 / 12, abs=1e-12)
+        assert loads[(0, 1)] == pytest.approx(1 / 4, abs=1e-12)
+        assert loads[(1, 2)] == pytest.approx(1 / 36, abs=1e-12)
 
     def test_flip_chain_value(self):
         # single pair, unit length: W = pi(0) pi(1) = 1/4 over Q = 1/2
@@ -165,8 +162,8 @@ class TestEqualizeCongestion:
     def test_linked_cliques_rho_matches_closed_form(self):
         for n in (3, 5, 8):
             graph = knkn_graph(n)
-            paths = shortest_path_system(graph)
-            report = congestion(equalize_congestion(graph, paths), paths)
+            W = shortest_path_system(graph)
+            report = congestion(equalize_congestion(graph, W), W)
             assert report.rho_bar == pytest.approx(3 * n * (1 - 5 / (6 * n)), abs=1e-9)
 
     def test_complete_graph_fixed_point(self):
@@ -185,9 +182,9 @@ class TestEqualizeCongestion:
         rng = np.random.default_rng(35)
         for _ in range(15):
             graph = random_connected_graph(rng, int(rng.integers(2, 9)))
-            paths = shortest_path_system(graph)
-            rho_eq = congestion(equalize_congestion(graph, paths), paths).rho_bar
-            rho_pd = congestion(max_degree_chain(graph), paths).rho_bar
+            W = shortest_path_system(graph)
+            rho_eq = congestion(equalize_congestion(graph, W), W).rho_bar
+            rho_pd = congestion(max_degree_chain(graph), W).rho_bar
             assert rho_eq <= rho_pd + 1e-9
 
     def test_linked_cliques_spectral_upper(self):
@@ -204,6 +201,14 @@ class TestCheeger:
 
     def test_single_edge(self):
         assert cheeger_upper_bound(TransitionGraph(2, [(0, 1)])) == pytest.approx(8.0)
+
+    def test_no_cut_list(self):
+        # the minimum over a cut list is no vertex expansion: over [[1, 2]]
+        # the value read 128 against the true 288, and over [] it read 0.0
+        assert list(inspect.signature(cheeger_upper_bound).parameters) == ["graph"]
+        for cuts in ([[1, 2]], []):
+            with pytest.raises(TypeError):
+                cheeger_upper_bound(knkn_graph(3), cuts)
 
     def test_complete4_dominates_solver(self):
         graph = complete_graph(4)
@@ -232,6 +237,6 @@ class TestCheeger:
 def test_path_loads_sum_rule():
     # summing W over a node's star counts every pair's path visits there
     graph = knkn_graph(3)
-    W = shortest_path_system(graph).loads
+    W = shortest_path_system(graph)
     star = W[graph.incident_edges(0)].sum()
     assert star / graph.pi[0] == pytest.approx(3 * 3 * (1 - 5 / (6 * 3)), abs=1e-12)
