@@ -182,6 +182,13 @@ class TransitionGraph:
         """Indices into ``edges`` of the edges touching node ``i``."""
         return self.star_edges[self.star_offsets[i]:self.star_offsets[i + 1]].tolist()
 
+    def star_sums(self, edge_values):
+        """Per node, the sum of ``edge_values`` (one per row of ``ends``) over
+        its star: from 0.0, adding in ascending neighbour order (``bincount``
+        adds its weights in input order).  Every edge-to-node sum reads it."""
+        return np.bincount(self.star_owners, weights=edge_values[self.star_edges],
+                           minlength=self.n)
+
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
@@ -245,14 +252,14 @@ class ReversibleChain:
 
     @functools.cached_property
     def P(self):
-        """Read-only dense matrix: q/pi(i) at (i, j), each row's rest on the
+        """Read-only dense matrix: q/pi(i) at (i, j), 1 - load(i)/pi(i) on the
         diagonal; only the CSV writer reads it (spectra use ``symmetrized``)."""
         g = self.graph
         ei, ej = g.ends.T
         P = np.zeros((g.n, g.n))
         P[ei, ej] = self.flows / g.pi[ei]
         P[ej, ei] = self.flows / g.pi[ej]
-        np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+        np.fill_diagonal(P, 1.0 - g.star_sums(self.flows) / g.pi)
         P.flags.writeable = False
         return P
 
@@ -296,7 +303,7 @@ def validate_chain(chain):
     g, q = chain.graph, chain.flows
     report = [f"negative or non-finite flow q({g.ends[k, 0]},{g.ends[k, 1]}) = {q[k]:.3e}"
               for k in np.flatnonzero(~((-q <= NONNEG_TOL) & np.isfinite(q)))]
-    loads = np.bincount(g.star_owners, weights=q[g.star_edges], minlength=g.n)
+    loads = g.star_sums(q)
     diagonal = 1.0 - loads / g.pi
     for i in np.flatnonzero(~(-diagonal <= NONNEG_TOL)):
         report.append(f"node {i} has load {float(loads[i])!r} over pi({i}) = "
@@ -354,25 +361,18 @@ def saturate_flows(graph, flows):
     """
     q = np.asarray(flows, dtype=float).copy()
     ei, ej = graph.ends.T
-    resid = graph.pi.copy()
-    np.subtract.at(resid, ei, q)
-    np.subtract.at(resid, ej, q)
-    resid = np.maximum(resid, 0.0)
+    resid = np.maximum(graph.pi - graph.star_sums(q), 0.0)
     for _ in range(SATURATE_SWEEPS):
         open_edge = (resid[ei] > SATURATE_TOL) & (resid[ej] > SATURATE_TOL)
         if not open_edge.any():
             break
-        free = np.zeros(graph.n)
-        np.add.at(free, ei[open_edge], 1.0)
-        np.add.at(free, ej[open_edge], 1.0)
+        free = graph.star_sums(open_edge)
         share = np.divide(resid, free, out=np.zeros_like(resid), where=free > 0)
         delta = np.where(open_edge, np.minimum(share[ei], share[ej]), 0.0)
         if delta.max() <= SATURATE_TOL:
             break
         q += delta
-        np.subtract.at(resid, ei, delta)
-        np.subtract.at(resid, ej, delta)
-        resid = np.maximum(resid, 0.0)
+        resid = np.maximum(resid - graph.star_sums(delta), 0.0)
     return fit_to_budgets(graph, q)
 
 

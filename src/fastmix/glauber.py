@@ -32,6 +32,10 @@ from .spectral import spectrum
 
 STATE_SPACE_CAP = 2 ** 20     # configurations enumerated at most
 DENSE_STATE_CAP = 512          # states of a dense chain: exact spectra past it take minutes
+# sites of a TreeSpec: its bounds cost ~1.1 KB and ~18 us a site (2.4 s, 176 MB
+# peak for the 131071-site binary tree of 16 levels on a 2-CPU x86_64 machine),
+# so the cap admits that tree
+TREE_SITE_CAP = 2 ** 17
 RATE_SUM_TOL = 1e-12
 
 
@@ -304,6 +308,10 @@ class TreeSpec:
             raise ValueError("need branching >= 2")
         if self.levels < 1:
             raise ValueError("need at least one level")
+        # b >= 2 gives at least 2^(r+1) - 1 sites: no huge power is computed
+        if self.levels >= TREE_SITE_CAP.bit_length() or self.node_count > TREE_SITE_CAP:
+            raise ValueError(f"a {self.branching}-ary tree of {self.levels} levels exceeds "
+                             f"the cap of {TREE_SITE_CAP} sites")
 
     @property
     def node_count(self):

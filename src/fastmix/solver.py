@@ -2,8 +2,11 @@
 
 In the symmetric edge flows q_e = pi(i)P(i,j) the symmetrized chain is
 S = I - L(q), with L(q) = sum_e q_e a_e a_e^T and a_e = e_i/sqrt(pi_i) -
-e_j/sqrt(pi_j).  So 1 - lambda2 is the smallest eigenvalue gamma of L(q) on
-the complement of u = sqrt(pi), and the fastest chain solves the SDP
+e_j/sqrt(pi_j).  ``spectral.laplacian`` writes L(q) for both ``spectrum``
+and the barrier here, and every node load (L's diagonal, the slacks, the
+slack LP's edge sums) comes from ``TransitionGraph.star_sums``.  So
+1 - lambda2 is the smallest eigenvalue gamma of L(q) on the complement of
+u = sqrt(pi), and the fastest chain solves the SDP
 
     maximize gamma  s.t.  L(q) >= gamma I on u^perp,  q >= 0,
                           node loads sum_{e at i} q_e <= pi_i
@@ -67,7 +70,7 @@ from .lower_bounds import Embedding, embedding_bound
 # the solver never calls ``spectrum``: it stays imported because perfbench
 # wraps it at every module that names it and asserts ``solver.spectrum``
 # resolves to that wrapper
-from .spectral import spectrum, summarize, symmetrized  # noqa: F401
+from .spectral import laplacian, spectrum, summarize, symmetrized  # noqa: F401
 
 CERTIFIED_GAP = 1e-6      # stop once (tau - lb)/tau is this small
 BARRIER_GROWTH = 8.0      # factor on t from one centre to the next
@@ -141,7 +144,6 @@ class _Barrier:
         root = np.sqrt(self.pi)
         self.inv_root = 1.0 / root
         self.uu = np.outer(root, root)
-        self._edge_scale = self.inv_root[self.ei] * self.inv_root[self.ej]
         # the scaled incidence: column e is a_e
         self._incidence = np.zeros((self.n, m))
         self._incidence[self.ei, np.arange(m)] = self.inv_root[self.ei]
@@ -158,31 +160,28 @@ class _Barrier:
         self._pair_node = owners[a[apart]]
         self._diag_index = np.arange(m) * (m + 2)
 
-    def loads(self, q):
-        return (np.bincount(self.ei, weights=q, minlength=self.n)
-                + np.bincount(self.ej, weights=q, minlength=self.n))
-
     def slacks(self, q):
-        return self.pi - self.loads(q)
+        return self.pi - self.graph.star_sums(q)
 
     def factor(self, q, gamma):
         """Cholesky factor of N, or None outside the cone."""
-        N = (1.0 + gamma) * self.uu
-        off = q * self._edge_scale
-        N[self.ei, self.ej] -= off                        # edges are unique
-        N[self.ej, self.ei] -= off
-        N.flat[::self.n + 1] += self.loads(q) / self.pi - gamma
+        N = laplacian(self.graph, q)
+        N += (1.0 + gamma) * self.uu
+        N.flat[::self.n + 1] -= gamma
         try:
             return np.linalg.cholesky(N)
         except np.linalg.LinAlgError:
             return None
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def newton(self, q, gamma, t, chol):
         """Gradient, Newton step and central-path tangent at (q, gamma).
 
         At a centre the gradient vanishes and its derivative in t is
         -e_gamma, so the centres move along H^{-1} e_gamma as t grows; that
-        tangent is the second column of the same Newton solve.
+        tangent is the second column of the same Newton solve.  ValueError
+        when the system leaves the floating-point range (pi far from even:
+        1/q^2 overflows for q below ~1e-154).
         """
         ei, ej, A = self.ei, self.ej, self._incidence
         m = len(q)
@@ -211,6 +210,8 @@ class _Barrier:
         rhs = np.zeros((m + 1, 2))
         rhs[:, 0] = -grad * scale
         rhs[m, 1] = scale[m]
+        if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+            raise _range_error(self.pi, "Newton system")
         solved = np.linalg.solve(H, rhs)
         return grad, scale * solved[:, 0], scale * solved[:, 1]
 
@@ -219,7 +220,7 @@ class _Barrier:
         ``fraction`` of the way to q = 0 or s = 0; also the slacks and their
         change."""
         s = self.slacks(q)
-        ds = -self.loads(dq)
+        ds = -self.graph.star_sums(dq)
         alpha = 1.0
         for x, dx in ((q, dq), (s, ds)):
             shrinking = dx < 0.0
@@ -275,21 +276,24 @@ class _Barrier:
         (:func:`_cover_slacks`), raised where rounding leaves an edge short,
         and the embedding is scaled to sum pi w = 1.
         """
-        ei, ej = self.ei, self.ej
+        g, ei, ej = self.graph, self.ei, self.ej
         psi = np.linalg.inv(chol).T * self.inv_root[:, None]
         psi -= self.pi @ psi
         d2 = np.sum((psi[ei] - psi[ej]) ** 2, axis=1)
-        w = _cover_slacks(self.pi, ei, ej, d2)
+        w = _cover_slacks(g, d2)
+        # no star of a connected graph with n >= 2 is empty
         short = np.maximum(d2 - w[ei] - w[ej], 0.0)
-        raise_by = np.zeros(self.n)
-        np.maximum.at(raise_by, ei, short)
-        np.maximum.at(raise_by, ej, short)
-        w += raise_by
+        w += np.maximum.reduceat(short[g.star_edges], g.star_offsets[:-1])
         total = float(self.pi @ w)
         return Embedding(psi / math.sqrt(total), w / total)
 
 
-def _cover_slacks(pi, ei, ej, lengths):
+def _range_error(pi, what):
+    return ValueError(f"the solver's {what} leaves the floating-point range "
+                      f"(pi spans {pi.min():.3g} to {pi.max():.3g})")
+
+
+def _cover_slacks(graph, lengths):
     """Slacks w >= 0 minimizing pi.w subject to w_i + w_j >= lengths_e.
 
     A weighted fractional vertex cover LP, solved by a primal-dual
@@ -300,11 +304,11 @@ def _cover_slacks(pi, ei, ej, lengths):
     side (w, z) and then the flow side (x, v), and each side takes one
     ratio test.
     """
-    n, m = len(pi), len(lengths)
+    pi, (ei, ej), edge_sum = graph.pi, graph.ends.T, graph.star_sums
+    n, m = graph.n, len(lengths)
     half = n + m
     scale = float(lengths.max())
     c = lengths / scale
-    degree = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
 
     def parts(a):
         return a[:n], a[n:half], a[half:half + m], a[half + m:]
@@ -313,13 +317,10 @@ def _cover_slacks(pi, ei, ej, lengths):
     w, z, x, v = parts(state)
     w[:] = 1.0
     z[:] = 2.0 - c                                # w_i + w_j - c_e
-    x[:] = 0.5 * float(pi.min()) / float(degree.max())
-    v[:] = pi - np.bincount(ei, x, n) - np.bincount(ej, x, n)
+    x[:] = 0.5 * float(pi.min()) / float(np.diff(graph.star_offsets).max())
+    v[:] = pi - edge_sum(x)
     K = np.zeros((n, n))
     diag = np.arange(n)
-
-    def edge_sum(values):
-        return np.bincount(ei, values, n) + np.bincount(ej, values, n)
 
     def direction(target_zx, target_wv, r_p, r_d):
         """The Newton direction, laid out like ``state``."""
@@ -382,7 +383,8 @@ def solve_fastest_mixing(graph, config=None):
 
     Starts from half the max-degree chain's flows pi(i) pi(j) / pi_* and
     gamma = 0, where L(q) + u u^T is positive definite because the graph is
-    connected.
+    connected.  ValueError when that start, or a Newton system, leaves the
+    floating-point range: a start flow underflows to zero, say.
     """
     config = config or SolverConfig()
     n = graph.n
@@ -393,6 +395,8 @@ def solve_fastest_mixing(graph, config=None):
     q = 0.5 * max_degree_chain(graph).flows
     gamma = 0.0
     chol = barrier.factor(q, gamma)
+    if chol is None or not (np.all(q > 0.0) and np.all(barrier.slacks(q) > 0.0)):
+        raise _range_error(pi, "start")
     # nu barrier terms bound the gap at a centre by nu/t; start where that
     # bound is the mean eigenvalue of L(q) on u^perp, tr L(q)/(n-1)
     nu = len(q) + 2 * n - 1

@@ -1,8 +1,11 @@
 """Spectra of reversible chains and the relaxation time.
 
 Reversibility makes ``S = D^{1/2} P D^{-1/2}`` (``D = diag(pi)``) symmetric,
-so the full spectrum of P is real.  Every output reads eigenvalues only, so
-they are computed here from S, built straight from the edge flows, without
+so the full spectrum of P is real.  In the edge flows S = I - L(q), and
+``laplacian`` is the one writer of the flow Laplacian L(q), which the
+solver's barrier reads too; its diagonal load/pi takes the node loads from
+the graph's one star-sum kernel, ``TransitionGraph.star_sums``.  Every
+output reads eigenvalues only, so they are computed here from S without
 eigenvectors, by cyclic Jacobi sweeps of whole-array rounds in elementwise
 numpy (no BLAS, so bitwise repeatable at any thread count).  A test
 function's Rayleigh quotient bounds the gap ``1 - lambda2`` from above by
@@ -93,14 +96,22 @@ class SpectralSummary:
                 "relaxation_time": self.relaxation_time}
 
 
+def laplacian(graph, flows):
+    """The flow Laplacian L(q) = sum_e q_e a_e a_e^T, a_e = e_i/sqrt(pi(i)) -
+    e_j/sqrt(pi(j)): load(i)/pi(i) on the diagonal and -q/sqrt(pi(i) pi(j))
+    at (i, j) and (j, i) of each edge; exactly symmetric, and L sqrt(pi) = 0
+    up to rounding.  The one place that writes these entries."""
+    ei, ej = graph.ends.T
+    L = np.diag(graph.star_sums(flows) / graph.pi)
+    L[ei, ej] = L[ej, ei] = -flows / np.sqrt(graph.pi[ei] * graph.pi[ej])
+    return L
+
+
 def symmetrized(chain):
-    """S = D^{1/2} P D^{-1/2} from the flows: q/sqrt(pi(i) pi(j)) at (i, j)
-    and (j, i) of each edge, 1 - load(i)/pi(i) on the diagonal."""
-    g, q = chain.graph, chain.flows
-    ei, ej = g.ends.T
-    loads = np.bincount(g.star_owners, weights=q[g.star_edges], minlength=g.n)
-    S = np.diag(1.0 - loads / g.pi)
-    S[ei, ej] = S[ej, ei] = q / np.sqrt(g.pi[ei] * g.pi[ej])
+    """S = D^{1/2} P D^{-1/2} = I - L(q), written over L's own array."""
+    S = laplacian(chain.graph, chain.flows)
+    np.subtract(0.0, S, out=S)          # 0.0 - 0.0 keeps the zeros positive
+    S.flat[::len(S) + 1] += 1.0
     return S
 
 

@@ -119,20 +119,14 @@ def equalize_congestion(graph, loads):
 
     Ratios W(e)/Q(e) <= rho are jointly feasible iff every node star fits its
     budget, so the optimum is rho* = max_i sum_{e at i} W(e) / pi(i) with
-    base flows W(e)/rho*.  The most loaded star then sits exactly at rho*;
-    leftover node budgets are spent by symmetric proportional padding (which
-    can only lower the other ratios) and any remaining mass stays on the
-    self-loops.
+    base flows W(e)/rho*; the star sums are ``graph.star_sums(W)``, the same
+    kernel as a chain's node loads.  The most loaded star then sits exactly
+    at rho*; leftover node budgets are spent by symmetric proportional
+    padding (which can only lower the other ratios) and any remaining mass
+    stays on the self-loops.
     """
     W = _edge_loads(graph, loads)
-    # W[star].sum() per star, rounded alike: that is 0.0 plus numpy's pairwise
-    # sum (unlike a sequential one from 8 terms up), which add.reduceat
-    # computes over stars led by a 0.0 each
-    owners = graph.star_owners
-    padded = np.zeros(len(owners) + graph.n)
-    padded[np.arange(len(owners)) + owners + 1] = W[graph.star_edges]
-    star_sums = np.add.reduceat(padded, graph.star_offsets[:-1] + np.arange(graph.n))
-    rho_star = (star_sums / graph.pi).max()
+    rho_star = (graph.star_sums(W) / graph.pi).max()
     return ReversibleChain(graph, saturate_flows(graph, W / rho_star))
 
 

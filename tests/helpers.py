@@ -269,13 +269,25 @@ def max_degree_flows_reference(graph):
     return np.array([pi[i] * (pi[j] / pi_star) for i, j in graph.edges])
 
 
+def star_sums_reference(graph, values):
+    """Per node, 0.0 plus ``values`` of its edges in ascending neighbour order, by a loop."""
+    sums = np.zeros(graph.n)
+    for i in range(graph.n):
+        total = 0.0
+        for j in graph.neighbors(i):
+            total += float(values[graph.edge_index[(min(i, j), max(i, j))]])
+        sums[i] = total
+    return sums
+
+
 def matrix_from_flows_reference(graph, q):
-    """P of the chain with edge flows ``q``, filled edge by edge."""
+    """P of the chain with edge flows ``q``, filled edge by edge, with
+    1 - load/pi on the diagonal."""
     P = np.zeros((graph.n, graph.n))
     for k, (i, j) in enumerate(graph.edges):
         P[i, j] = q[k] / graph.pi[i]
         P[j, i] = q[k] / graph.pi[j]
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    np.fill_diagonal(P, 1.0 - star_sums_reference(graph, q) / graph.pi)
     return P
 
 
@@ -390,9 +402,9 @@ def tree_loads_reference(graph):
 
 
 def equalized_rho_reference(graph, W):
-    """rho* of equalize_congestion: numpy's sum over each star's edge list."""
-    stars = [graph.incident_edges(i) for i in range(graph.n)]
-    return max(W[stars[i]].sum() / graph.pi[i] for i in range(graph.n))
+    """rho* of equalize_congestion: the largest star sum of W over pi."""
+    sums = star_sums_reference(graph, W)
+    return max(sums[i] / graph.pi[i] for i in range(graph.n))
 
 
 # -- references for the solver ---------------------------------------------
@@ -438,20 +450,21 @@ def newton_reference(barrier, q, gamma, t, chol):
     return grad, scale * solved[:, 0], scale * solved[:, 1]
 
 
-def cover_slacks_reference(pi, ei, ej, lengths):
-    """``_cover_slacks`` with w, z, x, v apart and K scattered from zeros."""
-    n, m = len(pi), len(lengths)
+def cover_slacks_reference(graph, lengths):
+    """``_cover_slacks`` with w, z, x, v apart, K scattered from zeros and
+    the edge sums by the star loop."""
+    pi, (ei, ej) = graph.pi, graph.ends.T
+    n, m = graph.n, len(lengths)
     scale = float(lengths.max())
     c = lengths / scale
-    degree = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
     w = np.ones(n)
     z = 2.0 - c
-    x = np.full(m, 0.5 * float(pi.min()) / float(degree.max()))
-    v = pi - np.bincount(ei, x, n) - np.bincount(ej, x, n)
+    x = np.full(m, 0.5 * float(pi.min()) / max(graph.degree(i) for i in range(n)))
+    v = pi - star_sums_reference(graph, x)
     diag = np.arange(n)
 
     def edge_sum(values):
-        return np.bincount(ei, values, n) + np.bincount(ej, values, n)
+        return star_sums_reference(graph, values)
 
     def direction(target_zx, target_wv, r_p, r_d):
         ratio = x / z

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from fastmix import solver
 from fastmix.chains import (ReversibleChain, TransitionGraph, _dense_violations,
                             edge_flow, fit_to_budgets, load_chain_csv,
                             max_closed_neighborhood_mass, max_degree_chain,
@@ -14,14 +15,14 @@ from fastmix.chains import (ReversibleChain, TransitionGraph, _dense_violations,
                             validate_chain)
 from fastmix.families import cycle_graph, complete_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import specified_chain_bound
-from fastmix.spectral import rayleigh_quotient, spectrum
+from fastmix.spectral import laplacian, rayleigh_quotient, spectrum, symmetrized
 from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
 from helpers import (REFERENCE_GRAPHS, canonical_edges_reference,
                      closed_neighborhood_mass_reference, congestion_reference,
                      connected_reference, dirichlet_reference, equalized_rho_reference,
                      layout_graphs, matrix_from_flows_reference, max_degree_flows_reference,
-                     random_connected_graph, random_valid_chain, support_reference,
-                     uneven_pi)
+                     random_connected_graph, random_valid_chain, star_sums_reference,
+                     support_reference, uneven_pi)
 
 
 def flip_chain():
@@ -149,12 +150,34 @@ def layout_checks(graph):
     q = rng.uniform(0.0, 1.0, size=len(edges)) * graph.pi.min() / max(n - 1, 1)
     assert ReversibleChain(graph, q).P.tobytes() == \
         matrix_from_flows_reference(graph, q).tobytes()
+    # the star-sum kernel and the flow Laplacian S = I - L that spectra and
+    # the solver's barrier read
+    values = rng.normal(size=len(edges))
+    assert graph.star_sums(values).tobytes() == star_sums_reference(graph, values).tobytes()
+    root = np.sqrt(graph.pi)
+    for chain in (standard, ReversibleChain(graph, q)):
+        L = laplacian(graph, chain.flows)
+        assert L.tobytes() == L.T.tobytes()
+        assert np.abs(L @ root).max() <= 1e-15
+        assert symmetrized(chain).tobytes() == (np.eye(n) - L).tobytes()
+        # L holds load/pi exactly, so S and P share the diagonal 1 - load/pi
+        assert np.diag(L).tobytes() == (star_sums_reference(graph, chain.flows)
+                                        / graph.pi).tobytes()
     # every off-diagonal entry carries mass: the non-edges are reported
     allowed = support_reference(graph) | np.eye(n, dtype=bool)
     report = _dense_violations(graph, np.full((n, n), 1.0 / n))
     assert [msg for msg in report if "non-edge" in msg] == \
         [f"mass {1.0 / n:.3e} on non-edge ({i},{j})" for i, j in np.argwhere(~allowed)]
     if n > 1:
+        # the barrier's N = L(q) - gamma (I - u u^T) + u u^T, as handed to Cholesky
+        handed = []
+        cholesky = np.linalg.cholesky
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", lambda N: handed.append(N.copy()) or cholesky(N))
+            solver._Barrier(graph).factor(q, 0.25)
+        uu = np.outer(root, root)
+        assert np.abs(handed[0] - (laplacian(graph, q) - 0.25 * (np.eye(n) - uu) + uu)).max() \
+            <= 1e-15
         # these two sum their edge terms in a different order: equal up to rounding
         chain = max_degree_chain(graph)
         g = rng.normal(size=n)

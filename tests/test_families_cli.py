@@ -707,6 +707,11 @@ class TestCli:
     @example({"graph": '{"n": 2, "edges": [[0, 1]]}', "embedding": "{}",
               "chain": b"0.0,1.00000000005\n1.00000000005,0.0\n",
               "expect": "invalid chain: node 0 has load 0.500000000025", "intact": True})
+    # the solver's Newton system overflows (1/q^2), and its start flows underflow
+    @example({"graph": '{"n": 3, "edges": [[0, 1], [1, 2]], "pi": [1e-300, 1.0, 1e-300]}',
+              "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
+    @example({"graph": '{"n": 2, "edges": [[0, 1]], "pi": [5e-324, 1.0]}',
+              "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
     def test_hostile_files_exit_0_or_2(self, tmp_path, capsys, files):
         gpath, epath, cpath = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "c.csv"
         gpath.write_text(files["graph"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fastmix.chains import TransitionGraph, validate_chain
 from fastmix.families import ising_tree
-from fastmix.glauber import (DENSE_STATE_CAP, RateVector, SpinSystem, TreeSpec,
+from fastmix.glauber import (DENSE_STATE_CAP, TREE_SITE_CAP, RateVector, SpinSystem, TreeSpec,
                              build_glauber_chain, check_rate_improvement_limits,
                              configuration_graph, gibbs_distribution, heat_bath_kernels,
                              kbar, log_site_bounds, log_zeta, majority_cut_bound,
@@ -379,6 +379,15 @@ class TestNodeWidths:
     def test_branching_one_rejected(self):
         with pytest.raises(ValueError):
             TreeSpec(1, 3)
+
+    def test_site_cap_checked_before_building(self):
+        # 2.2e12 sites: building their lists exhausts memory, so only the
+        # spec is made here, never ising_tree(2, 40, ...)
+        for b, r in ((2, 40), (2, 10 ** 9), (10 ** 30, 1), (2, 17), (TREE_SITE_CAP, 1)):
+            with pytest.raises(ValueError, match=f"cap of {TREE_SITE_CAP} sites"):
+                TreeSpec(b, r)
+        assert TreeSpec(2, 16).node_count <= TREE_SITE_CAP
+        assert TreeSpec(TREE_SITE_CAP - 1, 1).node_count == TREE_SITE_CAP
 
     def test_node_count_matches_structure(self):
         for b in (2, 3, 5):
