@@ -166,8 +166,8 @@ class _Barrier:
     def factor(self, q, gamma):
         """Cholesky factor of N, or None outside the cone."""
         N = laplacian(self.graph, q)
-        N += (1.0 + gamma) * self.uu
         N.flat[::self.n + 1] -= gamma
+        N += (1.0 + gamma) * self.uu
         try:
             return np.linalg.cholesky(N)
         except np.linalg.LinAlgError:
