@@ -2,9 +2,11 @@
 
 A problem instance is an undirected graph together with a target stationary
 distribution ``pi``.  Self-loops are implicitly present on every node, so a
-transition matrix may put mass on its diagonal even though ``edges`` only
-lists proper (i != j) pairs.  A chain is held as its edge flows, and all
-here is O(n + m) but the dense ``ReversibleChain.P`` and ``from_matrix``.
+transition matrix may put mass on its diagonal even though the graph's edge
+arrays (``ends`` and the node stars) list only proper (i != j) pairs.  A
+chain is held as its edge flows, and all here is O(n + m) but the dense
+``ReversibleChain.P`` and ``from_matrix``.  The family generators check
+their edge count against ``EDGE_CAP`` before they build anything.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ STOCHASTIC_TOL = 1e-10  # row sums / detailed balance of a dense matrix
 NONNEG_TOL = 1e-12      # nonnegative flows and diagonals, off-edge zeros
 SATURATE_SWEEPS = 500   # fair-share sweeps of saturate_flows at most
 SATURATE_TOL = 1e-15    # budget and flow increments below it count as zero
+# edges of a generated graph: ``fastmix gen`` costs up to ~650 B and ~5 us an
+# edge (4.8 s, 684 MB peak for the 10^6-node cycle; 6.5 s, 1.1 GB for the
+# 1000 x 1000 torus, 2 x 10^6 edges, on a 2-CPU x86_64 machine), so the cap
+# admits that torus
+EDGE_CAP = 2 ** 21
 
 
 def _integral(value):
@@ -158,30 +165,6 @@ class TransitionGraph:
                       self.star_nodes, self.star_edges):
             array.flags.writeable = False
 
-    @functools.cached_property
-    def edges(self):
-        """Canonical ``(min, max)`` pairs in sorted order, as tuples."""
-        return tuple(map(tuple, self.ends.tolist()))
-
-    def neighbors(self, i):
-        """Sorted non-loop neighbors of node ``i``."""
-        return tuple(self.star_nodes[self.star_offsets[i]:self.star_offsets[i + 1]].tolist())
-
-    def degree(self, i):
-        return int(self.star_offsets[i + 1] - self.star_offsets[i])
-
-    def has_edge(self, i, j):
-        return i != j and j in self.neighbors(i)
-
-    @functools.cached_property
-    def edge_index(self):
-        """Mapping canonical edge -> position in ``self.edges``."""
-        return {e: k for k, e in enumerate(self.edges)}
-
-    def incident_edges(self, i):
-        """Indices into ``edges`` of the edges touching node ``i``."""
-        return self.star_edges[self.star_offsets[i]:self.star_offsets[i + 1]].tolist()
-
     def star_sums(self, edge_values):
         """Per node, the sum of ``edge_values`` (one per row of ``ends``) over
         its star: from 0.0, adding in ascending neighbour order (``bincount``
@@ -311,9 +294,11 @@ def validate_chain(chain):
     return report
 
 
-def edge_flow(chain, i, j):
-    """Ergodic flow Q(i,j) = pi(i) P(i,j) = Q(j,i) of the edge {i, j}."""
-    return float(chain.flows[chain.graph.edge_index[(min(i, j), max(i, j))]])
+def check_edge_count(count, what):
+    """ValueError when ``count``, the edges a generator would build for
+    ``what`` as computed from its parameters, is past ``EDGE_CAP``."""
+    if count > EDGE_CAP:
+        raise ValueError(f"{what}: {count} edges, past the cap of {EDGE_CAP}")
 
 
 def max_closed_neighborhood_mass(graph):

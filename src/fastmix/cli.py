@@ -111,7 +111,7 @@ def cmd_glauber(args):
     b, r = (int(x) for x in args.tree.split(","))
     tree, system = families.ising_tree(b, r, args.beta)
     bounds = glauber.site_bounds(tree, args.beta)
-    rates = (glauber.optimal_rates(tree, args.beta) if args.rates == "optimal"
+    rates = (glauber.rates_from_log_bounds(bounds.log_values) if args.rates == "optimal"
              else glauber.uniform_rates(system.n_sites))
     payload = {"b": b, "r": r, "beta": args.beta,
                "widths": [int(w) for w in bounds.widths],
@@ -136,9 +136,10 @@ def cmd_report(args):
     config = SolverConfig(max_iters=args.iters)
     specs = [experiments.ExperimentSpec(args.family, _key_values(value.split(";")), config)
              for value in args.sweep]
-    rows = experiments.run_sweep(specs)
+    rows = [experiments.run_experiment(spec) for spec in specs]
     if args.out:
-        experiments.write_rows(rows, args.out, fmt=args.format)
+        with open(args.out, "w", newline="") as handle:
+            experiments.write_table(rows, handle, fmt=args.format)
     experiments.write_table(rows, sys.stdout, fmt=args.format)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: one row of certified bounds per instance.
+"""Report harness: one row of certified bounds per instance (``fastmix report``).
 
 Graph families get the full sandwich (the solver's dual embedding bound, or
 the analytic one where it is larger, the expansion bound, the solver value,
@@ -19,7 +19,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import families, glauber, lower_bounds, upper_bounds
 from .chains import max_degree_chain
@@ -130,7 +129,8 @@ def _ising_row(spec):
         graph = glauber.configuration_graph(system)
         uniform = glauber.build_glauber_chain(
             system, glauber.uniform_rates(system.n_sites), graph)
-        rated = glauber.build_glauber_chain(system, glauber.optimal_rates(tree, beta), graph)
+        rated = glauber.build_glauber_chain(
+            system, glauber.rates_from_log_bounds(bounds.log_values), graph)
         tau_uniform = spectrum(uniform).relaxation_time
         tau_rated = spectrum(rated).relaxation_time
         ok = (tau_uniform <= bounds.max_value + SANDWICH_SLACK
@@ -154,11 +154,6 @@ def run_experiment(spec):
     if spec.family == "ising_tree":
         return _ising_row(spec)
     return _graph_row(spec, families.generate(spec.family, spec.params))
-
-
-def run_sweep(specs):
-    """Rows for a list of specs, ordered as given (never by completion time)."""
-    return [run_experiment(s) for s in specs]
 
 
 def _flatten(row):
@@ -186,8 +181,3 @@ def write_table(rows, handle, fmt="csv"):
     writer.writeheader()
     for row in rows:
         writer.writerow(_flatten(row))
-
-
-def write_rows(rows, path, fmt="csv"):
-    with Path(path).open("w", newline="") as handle:
-        write_table(rows, handle, fmt)

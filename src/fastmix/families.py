@@ -6,13 +6,17 @@ Node numbering conventions (relied upon by the analytic embeddings):
   ``n..2n-1``, linking edge ``(0, n)``.
 * ``torus_graph(m, d)``: row-major, first coordinate slowest.
 * ``ising_tree``: sites in DFS preorder from the root.
+
+Each graph generator computes its edge count from its parameters and
+refuses, with ValueError, an instance past ``chains.EDGE_CAP`` before it
+builds anything.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chains import TransitionGraph
+from .chains import EDGE_CAP, TransitionGraph, check_edge_count
 from .glauber import SpinSystem, TreeSpec
 
 
@@ -20,6 +24,7 @@ def knkn_graph(n):
     """Two n-node complete graphs joined by a single edge, uniform pi."""
     if n < 2:
         raise ValueError("need n >= 2 per side")
+    check_edge_count(n * (n - 1) + 1, f"knkn n={n}")
     edges = [(side + i, side + j) for side in (0, n) for i in range(n) for j in range(i + 1, n)]
     return TransitionGraph(2 * n, edges + [(0, n)])
 
@@ -27,6 +32,7 @@ def knkn_graph(n):
 def cycle_graph(n):
     if n < 3:
         raise ValueError("need n >= 3")
+    check_edge_count(n, f"cycle n={n}")
     return TransitionGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -51,35 +57,46 @@ def torus_coordinates(index, m, d):
     return tuple(reversed(coords))
 
 
-def torus_index(coords, m):
-    index = 0
-    for c in coords:
-        index = index * m + (c % m)
-    return index
+def _grid_nodes(m, d, what):
+    """m^d for m >= 3, refused before any power is taken once 3^d alone is
+    past the edge cap."""
+    if d >= EDGE_CAP.bit_length():
+        raise ValueError(f"{what}: past the cap of {EDGE_CAP} edges")
+    return m ** d
 
 
 def torus_graph(m, d):
     """Nearest-neighbor graph of the d-dimensional m-point torus."""
     if m < 3 or d < 1:
         raise ValueError("need m >= 3, d >= 1")
-    index = np.arange(m ** d).reshape((m,) * d)
+    what = f"torus m={m} d={d}"
+    n = _grid_nodes(m, d, what)
+    check_edge_count(d * n, what)
+    index = np.arange(n).reshape((m,) * d)
     steps = [np.roll(index, -1, axis=axis).ravel() for axis in range(d)]
-    return TransitionGraph(m ** d, np.column_stack([np.tile(index.ravel(), d),
-                                                    np.concatenate(steps)]))
+    return TransitionGraph(n, np.column_stack([np.tile(index.ravel(), d),
+                                               np.concatenate(steps)]))
 
 
 def geometric_graph(m, k, d=1):
-    """Torus points joined whenever every coordinate is at most k cells apart."""
-    if not (1 <= k < m / 2):
+    """Torus points joined whenever every coordinate is at most k cells apart.
+
+    Built from an N x N x d table of coordinate gaps (N = m^d), which holds
+    more entries than the graph has edges; the cap counts the table.
+    """
+    if not (1 <= k and 2 * k < m):
         raise ValueError("need 1 <= k < m/2")
     if m % k != 0:
         raise ValueError("k must divide m")
     if d < 1:
         raise ValueError("need d >= 1")
-    coords = np.array([torus_coordinates(i, m, d) for i in range(m ** d)])
+    what = f"geometric m={m} k={k} d={d} (its pairwise table)"
+    n = _grid_nodes(m, d, what)
+    check_edge_count(n * n * d, what)
+    coords = np.array([torus_coordinates(i, m, d) for i in range(n)])
     gap = np.abs(coords[:, None] - coords[None, :])
     near = np.all(np.minimum(gap, m - gap) <= k, axis=2)
-    return TransitionGraph(m ** d, np.argwhere(np.triu(near, 1)))
+    return TransitionGraph(n, np.argwhere(np.triu(near, 1)))
 
 
 def ising_tree(b, r, beta):

@@ -91,10 +91,6 @@ class SpinSystem:
     def n_states(self):
         return len(self.colors) ** self.n_sites
 
-    @property
-    def max_degree(self):
-        return max(len(a) for a in self.neighbors) if self.n_sites else 0
-
 
 # -- configuration enumeration -------------------------------------------
 
@@ -125,11 +121,6 @@ def _move_targets(system, digits, v, c):
     """
     q = len(system.colors)
     return np.arange(system.n_states) + (c - digits[:, v]) * q ** v
-
-
-def gibbs_distribution(system):
-    """Exact Gibbs probabilities over the enumerated configurations."""
-    return _gibbs(system, state_color_indices(system))
 
 
 def _gibbs(system, digits):
@@ -326,30 +317,22 @@ class TreeSpec:
     def site_edges(self):
         return _tree_structure(self.branching, self.levels)["edges"]
 
-    def parents(self):
-        return _tree_structure(self.branching, self.levels)["parent"]
-
     def node_levels(self):
         return _tree_structure(self.branching, self.levels)["level"]
 
     def children(self):
         return _tree_structure(self.branching, self.levels)["children"]
 
-    def leaves(self):
-        level = self.node_levels()
-        return [v for v in range(self.node_count) if level[v] == self.levels]
-
 
 @functools.cache
 def _tree_structure(b, r):
-    """DFS preorder ids, parent/level/children arrays and edge list."""
-    parent, level, edges = [-1], [0], []
+    """DFS preorder ids, level/children arrays and edge list."""
+    level, edges = [0], []
     children = [[]]
 
     def grow(node, node_level):
         for _ in range(b):
-            child = len(parent)
-            parent.append(node)
+            child = len(level)
             level.append(node_level + 1)
             children.append([])
             children[node].append(child)
@@ -358,7 +341,7 @@ def _tree_structure(b, r):
                 grow(child, node_level + 1)
 
     grow(0, 0)
-    return {"parent": tuple(parent), "level": tuple(level),
+    return {"level": tuple(level),
             "children": tuple(tuple(c) for c in children), "edges": tuple(edges)}
 
 
@@ -406,13 +389,8 @@ def _logsumexp(values):
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def zeta(b, beta):
-    """Level growth factor (e^{4 b beta} - 1)/(e^{4 beta} - 1)."""
-    lz = log_zeta(b, beta)
-    return math.exp(lz) if lz < 700.0 else math.inf
-
-
 def log_zeta(b, beta):
+    """log of the level growth factor (e^{4 b beta} - 1)/(e^{4 beta} - 1)."""
     return _log_expm1(4.0 * b * beta) - _log_expm1(4.0 * beta)
 
 
@@ -435,11 +413,6 @@ class SiteBoundReport:
     log_total_closed: float    # level recursion in closed form
 
     @property
-    def values(self):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_values)
-
-    @property
     def mean(self):
         return math.exp(self.log_mean) if self.log_mean < 700 else math.inf
 
@@ -451,7 +424,7 @@ class SiteBoundReport:
 def site_bounds(tree, beta):
     """B_v for every tree node plus aggregates and the closed-form total.
 
-    The closed form sums the level recursion B^(l) = B^(l-1) zeta(b, beta)
+    The closed form sums the level recursion B^(l) = B^(l-1) exp(log_zeta(b, beta))
     (with the leaf level damped by e^{-4 b beta}), so it must agree with the
     node-by-node total up to rounding.
     """

@@ -83,7 +83,9 @@ class Embedding:
 def embedding_violations(graph, emb, slack=FEASIBILITY_SLACK):
     """List every violated feasibility constraint of an embedding.
 
-    Every check is written as ``not (x <= tol)``, so NaN fails it.
+    Every check is written as ``not (x <= tol)``, so NaN fails it.  A
+    squared edge length that overflows is a violation, also against a
+    budget that overflows too.
     """
     if emb.vectors.shape[0] != graph.n:
         return [f"embedding has {emb.vectors.shape[0]} nodes, graph has {graph.n}"]
@@ -98,11 +100,13 @@ def embedding_violations(graph, emb, slack=FEASIBILITY_SLACK):
     for i in np.nonzero(~(emb.slacks >= -1e-12))[0]:
         report.append(f"negative slack w({i}) = {emb.slacks[i]:.3e}")
     ei, ej = graph.ends.T
-    d2 = np.sum((emb.vectors[ei] - emb.vectors[ej]) ** 2, axis=1)
-    budget = emb.slacks[ei] + emb.slacks[ej]
-    for k in np.nonzero(~(d2 <= budget + slack))[0]:
+    with np.errstate(over="ignore"):
+        d2 = np.sum((emb.vectors[ei] - emb.vectors[ej]) ** 2, axis=1)
+        budget = emb.slacks[ei] + emb.slacks[ej]
+        fits = (d2 <= budget + slack) & np.isfinite(d2)
+    for k in np.nonzero(~fits)[0]:
         report.append(f"edge ({ei[k]},{ej[k]}): squared distance {float(d2[k])!r} "
-                      f"exceeds w(i)+w(j) = {budget[k]!r}")
+                      f"exceeds w(i)+w(j) = {float(budget[k])!r}")
     return report
 
 
@@ -214,13 +218,14 @@ def _block_ratios(adjacency, pi, member):
     """pi(dS) / min(pi(S), pi(S^c)) for the subsets in the columns of ``member``.
 
     One ascending pass over the stacked columns ``[S | dS | S^c]`` gives all
-    three sums; ``1 - pi(S)`` would round a light complement to 0.
+    three sums; ``1 - pi(S)`` would round a light complement to 0.  A
+    ratio past the float range is +inf, which never wins the minimum.
     """
     # neighbour counts are small integers; a positive float32 sum is never 0
     reach = adjacency @ member.astype(np.float32) > 0
     stacked = np.concatenate((member, reach & ~member, ~member), axis=1)
     pi_s, pi_b, pi_c = np.split(_ascending_sums(pi, stacked), 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return pi_b / np.minimum(pi_s, pi_c)
 
 

@@ -137,10 +137,16 @@ def cheeger_bound_from_expansion(graph, upsilon):
     cut, as returned by ``vertex_expansion(graph)`` or carried by
     ``expansion_lower_bound(graph)``.  A minimum over only some cuts can
     exceed it, and the value it gives is then no upper bound.
+
+    Both factors are at least their floor, pi_*/pi_0 >= 1 and 2/Upsilon^2
+    >= 2 (Upsilon <= 1: a cut S with pi(S) >= 1/2 has pi(dS) <= pi(S^c)),
+    so a step that overflows means the bound is past the float range, and
+    it is +inf, with no warning.
     """
     pi_star = max_closed_neighborhood_mass(graph)
     pi_0 = graph.pi.min()
-    return float((pi_star / pi_0) ** 2 * 2.0 / upsilon ** 2)
+    with np.errstate(over="ignore", divide="ignore"):
+        return float((pi_star / pi_0) ** 2 * 2.0 / upsilon ** 2)
 
 
 def cheeger_upper_bound(graph):

@@ -20,6 +20,34 @@ from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, shortest_path_system
 
 
+# -- one-line reads of a graph's edge arrays and a tree's levels -------------
+
+
+def edge_pairs(graph):
+    """The canonical ``(min, max)`` pairs in edge order, as tuples."""
+    return tuple(map(tuple, graph.ends.tolist()))
+
+
+def edge_ids(graph):
+    """Mapping canonical ``(min, max)`` pair -> its row of ``graph.ends``."""
+    return {e: k for k, e in enumerate(edge_pairs(graph))}
+
+
+def neighbors(graph, i):
+    """Node i's neighbours, ascending, from its star."""
+    return tuple(graph.star_nodes[graph.star_offsets[i]:graph.star_offsets[i + 1]].tolist())
+
+
+def incident_edges(graph, i):
+    """Edge ids of node i's star, in ascending neighbour order."""
+    return graph.star_edges[graph.star_offsets[i]:graph.star_offsets[i + 1]].tolist()
+
+
+def leaves(tree):
+    """The sites on a tree's last level, in DFS preorder."""
+    return [v for v, level in enumerate(tree.node_levels()) if level == tree.levels]
+
+
 def random_connected_graph(rng, n, extra_edge_prob=0.4, uniform_pi=False):
     """Random spanning tree plus random extra edges; optionally random pi."""
     edges = set()
@@ -41,16 +69,16 @@ def random_connected_graph(rng, n, extra_edge_prob=0.4, uniform_pi=False):
 
 def random_valid_chain(rng, graph):
     """Random symmetric flows scaled inside every node budget."""
-    m = len(graph.edges)
+    m = len(graph.ends)
     flows = rng.uniform(0.2, 1.0, size=m)
     load = np.zeros(graph.n)
-    for k, (i, j) in enumerate(graph.edges):
+    for k, (i, j) in enumerate(edge_pairs(graph)):
         load[i] += flows[k]
         load[j] += flows[k]
     scale = min(graph.pi[i] / load[i] for i in range(graph.n))
     flows *= scale * rng.uniform(0.4, 0.98)
     P = np.zeros((graph.n, graph.n))
-    for k, (i, j) in enumerate(graph.edges):
+    for k, (i, j) in enumerate(edge_pairs(graph)):
         P[i, j] = flows[k] / graph.pi[i]
         P[j, i] = flows[k] / graph.pi[j]
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
@@ -93,7 +121,7 @@ def vertex_expansion_reference(graph, candidates=None):
     """
     n, pi = graph.n, graph.pi
     neighbor_masks = [0] * n
-    for i, j in graph.edges:
+    for i, j in edge_pairs(graph):
         neighbor_masks[i] |= 1 << j
         neighbor_masks[j] |= 1 << i
 
@@ -132,13 +160,13 @@ def expansion_witness_reference(graph, s_min):
     in_s = np.zeros(n, dtype=bool)
     in_s[list(subset)] = True
     inner = [i for i in range(n) if in_s[i]
-             and any(not in_s[j] for j in graph.neighbors(i))]
+             and any(not in_s[j] for j in neighbors(graph, i))]
     pi_s = float(pi[in_s].sum())
     pi_c = float(pi[~in_s].sum())
     w0 = 1.0 / float(pi[inner].sum())
     sep = math.sqrt(w0)
     vectors = np.where(in_s, pi_c * sep, -pi_s * sep)
-    for i, j in graph.edges:
+    for i, j in edge_pairs(graph):
         if in_s[i] != in_s[j]:
             w0 = max(w0, float((vectors[i] - vectors[j]) ** 2))
     slacks = np.zeros(n)
@@ -165,7 +193,7 @@ def prefix_cut_sizes_reference(n_nodes, edges, order):
 def uneven(graph, seed=0):
     """The same graph under a seeded uneven pi."""
     pi = np.random.default_rng(seed + graph.n).uniform(0.2, 1.0, size=graph.n)
-    return TransitionGraph(graph.n, graph.edges, pi / pi.sum())
+    return TransitionGraph(graph.n, graph.ends, pi / pi.sum())
 
 
 def tree(n, seed=0, uniform_pi=False):
@@ -213,10 +241,10 @@ def layout_graphs(draw):
     elif shape == "path":
         edges = [(k, k + 1) for k in range(n - 1)]
     elif shape == "complete":
-        edges = complete_graph(n).edges
+        edges = complete_graph(n).ends
     else:
         edges = random_connected_graph(
-            rng, n, extra_edge_prob=0.15 if shape == "sparse" else 0.7).edges
+            rng, n, extra_edge_prob=0.15 if shape == "sparse" else 0.7).ends
     return TransitionGraph(n, edges, uneven_pi(rng, n))
 
 
@@ -258,7 +286,7 @@ def connected_reference(n, edges):
 def closed_neighborhood_mass_reference(graph):
     """pi_*, each neighborhood summed by ``sum`` in ascending neighbor order."""
     pi = graph.pi
-    return np.array([pi[i] + sum(pi[j] for j in graph.neighbors(i))
+    return np.array([pi[i] + sum(pi[j] for j in neighbors(graph, i))
                      for i in range(graph.n)]).max()
 
 
@@ -266,16 +294,17 @@ def max_degree_flows_reference(graph):
     """Flows pi(i) (pi(j)/pi_*) of the max-degree chain, edge by edge."""
     pi = graph.pi
     pi_star = closed_neighborhood_mass_reference(graph)
-    return np.array([pi[i] * (pi[j] / pi_star) for i, j in graph.edges])
+    return np.array([pi[i] * (pi[j] / pi_star) for i, j in edge_pairs(graph)])
 
 
 def star_sums_reference(graph, values):
     """Per node, 0.0 plus ``values`` of its edges in ascending neighbour order, by a loop."""
+    ids = edge_ids(graph)
     sums = np.zeros(graph.n)
     for i in range(graph.n):
         total = 0.0
-        for j in graph.neighbors(i):
-            total += float(values[graph.edge_index[(min(i, j), max(i, j))]])
+        for j in neighbors(graph, i):
+            total += float(values[ids[(min(i, j), max(i, j))]])
         sums[i] = total
     return sums
 
@@ -284,7 +313,7 @@ def matrix_from_flows_reference(graph, q):
     """P of the chain with edge flows ``q``, filled edge by edge, with
     1 - load/pi on the diagonal."""
     P = np.zeros((graph.n, graph.n))
-    for k, (i, j) in enumerate(graph.edges):
+    for k, (i, j) in enumerate(edge_pairs(graph)):
         P[i, j] = q[k] / graph.pi[i]
         P[j, i] = q[k] / graph.pi[j]
     np.fill_diagonal(P, 1.0 - star_sums_reference(graph, q) / graph.pi)
@@ -326,7 +355,7 @@ def symmetrized_reference(chain):
 def support_reference(graph):
     """validate_chain's support: off-diagonal entries allowed mass, edge by edge."""
     allowed = np.zeros((graph.n, graph.n), dtype=bool)
-    for i, j in graph.edges:
+    for i, j in edge_pairs(graph):
         allowed[i, j] = allowed[j, i] = True
     return allowed
 
@@ -334,9 +363,9 @@ def support_reference(graph):
 def congestion_reference(chain, W):
     """Per-edge loads and ratios in edge order, rho_bar and the first worst edge, by a loop."""
     graph = chain.graph
-    loads, ratios = np.zeros(len(graph.edges)), np.zeros(len(graph.edges))
+    loads, ratios = np.zeros(len(graph.ends)), np.zeros(len(graph.ends))
     rho_bar, argmax = 0.0, None
-    for k, (i, j) in enumerate(graph.edges):
+    for k, (i, j) in enumerate(edge_pairs(graph)):
         q = chain.flows[k]
         loads[k] = W[k]
         if q > 0.0:
@@ -355,7 +384,7 @@ def dirichlet_reference(chain, vectors):
     """sum over edges of |psi(i) - psi(j)|^2 Q(i, j), added edge by edge."""
     vectors = np.asarray(vectors, dtype=float).reshape(chain.graph.n, -1)
     total = 0.0
-    for k, (i, j) in enumerate(chain.graph.edges):
+    for k, (i, j) in enumerate(edge_pairs(chain.graph)):
         total += float(np.sum((vectors[i] - vectors[j]) ** 2)) * chain.flows[k]
     return total
 
@@ -376,13 +405,13 @@ def tree_loads_reference(graph):
         dist[y] = 0
         queue = [y]
         for u in queue:
-            for v in graph.neighbors(u):
+            for v in neighbors(graph, u):
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         for v in range(n):
             if v != y:
-                step[v][y] = min(w for w in graph.neighbors(v) if dist[w] == dist[v] - 1)
+                step[v][y] = min(w for w in neighbors(graph, v) if dist[w] == dist[v] - 1)
             acc[v][y] = pi[v] * dist[v] if v < y else 0.0
         for level in range(max(dist), 0, -1):
             children = [0.0] * n
@@ -392,12 +421,13 @@ def tree_loads_reference(graph):
             for v in range(n):
                 if dist[v] == level - 1:
                     acc[v][y] += children[v]
-    W = np.zeros(len(graph.edges))
+    ids = edge_ids(graph)
+    W = np.zeros(len(graph.ends))
     for v in range(n):
         for y in range(n):
             if v != y:
                 w = step[v][y]
-                W[graph.edge_index[(min(v, w), max(v, w))]] += pi[y] * acc[v][y]
+                W[ids[(min(v, w), max(v, w))]] += pi[y] * acc[v][y]
     return W
 
 
@@ -420,7 +450,7 @@ def newton_reference(barrier, q, gamma, t, chol):
     ei, ej = barrier.ei, barrier.ej
     m = len(q)
     A = np.zeros((graph.n, m))
-    for e, (i, j) in enumerate(graph.edges):
+    for e, (i, j) in enumerate(edge_pairs(graph)):
         A[i, e], A[j, e] = barrier.inv_root[i], -barrier.inv_root[j]
     owners = graph.star_owners
     e, f = np.nonzero(owners[:, None] == owners[None, :])
@@ -459,7 +489,7 @@ def cover_slacks_reference(graph, lengths):
     c = lengths / scale
     w = np.ones(n)
     z = 2.0 - c
-    x = np.full(m, 0.5 * float(pi.min()) / max(graph.degree(i) for i in range(n)))
+    x = np.full(m, 0.5 * float(pi.min()) / int(np.diff(graph.star_offsets).max()))
     v = pi - star_sums_reference(graph, x)
     diag = np.arange(n)
 
@@ -655,21 +685,21 @@ def exact_majority_stats(tree, beta):
     system = glauber.SpinSystem(tree.node_count, tree.site_edges(), colors=(-1, +1),
                                 coupling=lambda v, w, a, b: math.exp(beta * a * b),
                                 beta=beta)
-    pi = glauber.gibbs_distribution(system)
+    pi = glauber.configuration_graph(system).pi
     digits = glauber.state_color_indices(system)
     kernels = glauber.heat_bath_kernels(system)
     majority = glauber._majority_table(tree, np.asarray(system.colors)[digits])
     states = np.arange(system.n_states)
     in_S = majority == 1
-    leaves = tree.leaves()
+    last_level = leaves(tree)
 
     def flipped(leaf):
         return glauber._move_targets(system, digits, leaf, 1 - digits[:, leaf])
 
-    pivotal = majority != majority[flipped(leaves[0])]
+    pivotal = majority != majority[flipped(last_level[0])]
     on_boundary = np.zeros(len(states), dtype=bool)
     phi_sum = 0.0
-    for leaf in leaves:
+    for leaf in last_level:
         exits = in_S & (majority[flipped(leaf)] == -1)
         on_boundary |= exits
         law = glauber._state_kernel(system, digits, kernels, leaf)

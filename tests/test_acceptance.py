@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from fastmix.chains import TransitionGraph, edge_flow, validate_chain
+from fastmix.chains import TransitionGraph, validate_chain
 from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
                               ising_tree, knkn_graph, path_graph, torus_graph)
 from fastmix.glauber import (TreeSpec, build_glauber_chain,
                              check_rate_improvement_limits, configuration_graph,
-                             gibbs_distribution, log_site_bounds,
+                             log_site_bounds,
                              majority_cut_bound, optimal_rates, prefix_cut_sizes,
                              rates_from_log_bounds, site_bounds, uniform_rates)
 from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
@@ -28,7 +28,7 @@ from fastmix.spectral import spectrum
 from fastmix.chains import max_degree_chain, symmetric_walk
 from fastmix.upper_bounds import (congestion, equalize_congestion,
                                   shortest_path_system)
-from helpers import (check_congestion_soundness, check_rayleigh_dominates_gap,
+from helpers import (check_congestion_soundness, check_rayleigh_dominates_gap, edge_ids,
                      exact_majority_stats, grid_oracle, random_connected_graph,
                      random_valid_chain)
 
@@ -73,9 +73,9 @@ def test_criterion_02_equalization_closed_forms():
     # node budget, so no other spoke value is consistent with equalization
     graph = knkn_graph(3)
     chain = equalize_congestion(graph, shortest_path_system(graph))
-    bridge = edge_flow(chain, 0, 3)
-    spokes = [edge_flow(chain, 0, 1), edge_flow(chain, 0, 2),
-              edge_flow(chain, 3, 4), edge_flow(chain, 3, 5)]
+    ids = edge_ids(graph)
+    bridge = chain.flows[ids[(0, 3)]]
+    spokes = [chain.flows[ids[e]] for e in ((0, 1), (0, 2), (3, 4), (3, 5))]
     ok = abs(bridge - 7 / 78) <= 1e-8 and all(abs(q - 1 / 26) <= 1e-8 for q in spokes)
     verdict(2, ok, f"Q(bridge)={bridge:.10f} (= 7/78), spoke flows = 1/26 "
                    f"within 1e-8")
@@ -170,7 +170,7 @@ def test_criterion_09_glauber_correctness():
                 (star, optimal_rates(tree, beta), site_bounds(tree, beta).log_values)):
             uniform = build_glauber_chain(system, uniform_rates(system.n_sites))
             rated = build_glauber_chain(system, rates)
-            pi = gibbs_distribution(system)
+            pi = configuration_graph(system).pi
             flows = pi[:, None] * uniform.P
             balance = np.max(np.abs(flows - flows.T))
             ok &= balance <= 1e-10 and validate_chain(uniform) == []

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fastmix import cli, experiments, families
-from fastmix.chains import ReversibleChain, TransitionGraph, max_degree_chain
+from fastmix.chains import (EDGE_CAP, ReversibleChain, TransitionGraph, check_edge_count,
+                            max_degree_chain)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
-from helpers import congestion_reference, random_connected_graph
+from helpers import congestion_reference, edge_pairs, random_connected_graph
 
 
 # hostile JSON: every kind of value, nested, in place of a field or an entry
@@ -70,13 +72,14 @@ def _chain_csv(draw, graph):
     """
     n = graph.n
     P = max_degree_chain(graph).P.copy()
+    edges = edge_pairs(graph)
     non_edges = [(i, j) for i in range(n) for j in range(n)
-                 if i != j and not graph.has_edge(i, j)]
+                 if i != j and (min(i, j), max(i, j)) not in edges]
     kinds = ["valid", "empty", "text", "nan", "inf", "bytes", "shape", "negative"]
     kinds += ["ragged", "balance"] if n > 1 else []
     kinds += ["off_edge"] if non_edges else []
     kind = draw(st.sampled_from(kinds))
-    i, j = draw(st.sampled_from(graph.edges)) if n > 1 else (0, 0)
+    i, j = draw(st.sampled_from(edges)) if n > 1 else (0, 0)
     expect = None
     if kind in ("nan", "inf"):
         P[i, j] = float(kind)
@@ -136,21 +139,72 @@ class TestGenerators:
     def test_linked_cliques_counts(self):
         graph = families.knkn_graph(3)
         assert graph.n == 6
-        assert len(graph.edges) == 7
-        assert (0, 3) in graph.edges
+        assert len(graph.ends) == 7
+        assert (0, 3) in edge_pairs(graph)
 
     def test_torus_counts(self):
         graph = families.torus_graph(3, 2)
         assert graph.n == 9
-        assert len(graph.edges) == 18
+        assert len(graph.ends) == 18
 
     def test_geometric_degrees(self):
         graph = families.geometric_graph(6, 2, d=1)
-        assert all(graph.degree(i) == 4 for i in range(6))
+        assert np.diff(graph.star_offsets).tolist() == [4] * 6
 
     def test_torus_indexing_row_major(self):
         assert families.torus_coordinates(5, 3, 2) == (1, 2)
-        assert families.torus_index((1, 2), 3) == 5
+        assert [families.torus_coordinates(i, 3, 2) for i in range(9)] == \
+            [(a, b) for a in range(3) for b in range(3)]
+
+    @pytest.mark.parametrize("family, params, tabled", [
+        ("knkn", {"n": 2}, False), ("knkn", {"n": 7}, False), ("cycle", {"n": 9}, False),
+        ("torus", {"m": 3, "d": 1}, False), ("torus", {"m": 4, "d": 3}, False),
+        ("geometric", {"m": 6, "k": 2}, True), ("geometric", {"m": 8, "k": 2, "d": 2}, True)])
+    def test_edge_count_from_the_parameters(self, monkeypatch, family, params, tabled):
+        counts = []
+
+        def recorded(count, what):
+            counts.append(count)
+            check_edge_count(count, what)
+
+        monkeypatch.setattr(families, "check_edge_count", recorded)
+        graph = families.generate(family, params)
+        # geometric counts its pairwise table, more than its edges
+        expected = graph.n ** 2 * params.get("d", 1) if tabled else len(graph.ends)
+        assert counts == [expected] and len(graph.ends) <= expected
+
+    def test_edge_cap_is_inclusive(self):
+        check_edge_count(EDGE_CAP, "at the cap")
+        with pytest.raises(ValueError, match=f"past the cap of {EDGE_CAP}"):
+            check_edge_count(EDGE_CAP + 1, "past the cap")
+
+    def test_oversized_generators_exit_2_before_building(self):
+        # one child process under a 2 GB address-space limit and a timeout, so
+        # a generator that built these would fail the test, not the machine
+        cases = [["--family", "knkn", "--param", "n=" + "1" + "0" * 20],
+                 ["--family", "cycle", "--param", "n=" + "1" + "0" * 20],
+                 ["--family", "geometric", "--param", "m=4", "--param", "k=1",
+                  "--param", "d=100"],
+                 ["--family", "geometric", "--param", "m=" + "1" + "0" * 400,
+                  "--param", "k=1"],
+                 ["--family", "torus", "--param", "m=3", "--param", "d=22"],
+                 ["--family", "torus", "--param", "m=1449", "--param", "d=2"]]
+        script = ("import json, sys\nfrom fastmix import cli\n"
+                  "print(json.dumps([cli.main(['gen'] + a) for a in json.loads(sys.argv[1])]))")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(cases)],
+                              capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                              env={"PYTHONPATH": str(src), "PATH": "",
+                                   "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [cli.EXIT_VALIDATION] * len(cases)
+        errors = done.stderr.splitlines()
+        assert len(errors) == len(cases)
+        assert all(f"past the cap of {EDGE_CAP}" in line for line in errors)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -176,7 +230,7 @@ class TestGenerators:
             path = tmp_path / f"{family}.json"
             graph.save(path)
             back = TransitionGraph.load(path)
-            assert back.edges == graph.edges
+            assert np.array_equal(back.ends, graph.ends)
             assert np.array_equal(back.pi, graph.pi)
 
 
@@ -193,9 +247,9 @@ class TestExperiments:
 
     def test_linked_cliques_sweep_monotone(self):
         config = SolverConfig(max_iters=2000)
-        rows = experiments.run_sweep([
-            experiments.ExperimentSpec(family="knkn", params={"n": n}, solver=config)
-            for n in (3, 4, 5)])
+        rows = [experiments.run_experiment(
+            experiments.ExperimentSpec(family="knkn", params={"n": n}, solver=config))
+            for n in (3, 4, 5)]
         for col in ("lb_embed", "tau2_solver", "ub_congestion"):
             values = [row[col] for row in rows]
             assert values == sorted(values)
@@ -257,6 +311,28 @@ class TestExperiments:
         assert len(calls) == 1
         monkeypatch.undo()
         assert row == experiments.run_experiment(spec)
+
+    @pytest.mark.parametrize("run", ["report", "glauber"])
+    def test_one_site_bound_evaluation_per_ising_run(self, monkeypatch, capsys, run):
+        # the rated chain takes its rates from the row's own site bounds
+        from fastmix import glauber
+        calls = []
+        original = glauber.site_bounds
+
+        def counted(tree, beta):
+            calls.append(tree)
+            return original(tree, beta)
+
+        monkeypatch.setattr(glauber, "site_bounds", counted)
+        if run == "report":
+            row = experiments.run_experiment(experiments.ExperimentSpec(
+                family="ising_tree", params={"b": 2, "r": 2, "beta": 0.5}))
+            assert len(calls) == 1 and row["prop_ok"] is True
+        else:
+            assert cli.main(["glauber", "--tree", "2,2", "--beta", "0.5", "--exact"]) == 0
+            assert len(calls) == 1
+            rates = json.loads(capsys.readouterr().out)["rates"]
+            assert rates == glauber.optimal_rates(glauber.TreeSpec(2, 2), 0.5).rho.tolist()
 
     def test_bound_inversion_detected(self):
         row = {"family": "cycle", "params": {"n": 4}, "lb_embed": 2.0,
@@ -351,12 +427,13 @@ class TestExperiments:
         alone = upper_bounds.congestion(upper_bounds.equalize_congestion(graph, W), W).rho_bar
         assert row["ub_congestion"] == alone
 
-    def test_write_rows_csv(self, tmp_path):
+    def test_write_table_csv(self, tmp_path):
         spec = experiments.ExperimentSpec(
             family="cycle", params={"n": 4}, solver=SolverConfig(max_iters=1000))
-        rows = experiments.run_sweep([spec])
+        rows = [experiments.run_experiment(spec)]
         out = tmp_path / "rows.csv"
-        experiments.write_rows(rows, out, fmt="csv")
+        with out.open("w", newline="") as handle:
+            experiments.write_table(rows, handle, fmt="csv")
         text = out.read_text().splitlines()
         assert text[0] == ",".join(experiments.GRAPH_COLUMNS)
         assert len(text) == 2
@@ -625,9 +702,9 @@ class TestCli:
         assert cli.main(["lower", str(bad)]) == cli.EXIT_VALIDATION
 
     def test_inversion_exit_code(self, monkeypatch, capsys):
-        def boom(specs):
+        def boom(spec):
             raise experiments.BoundInversionError("forced")
-        monkeypatch.setattr(experiments, "run_sweep", boom)
+        monkeypatch.setattr(experiments, "run_experiment", boom)
         code = cli.main(["report", "--family", "knkn", "--sweep", "n=3"])
         assert code == cli.EXIT_INVERSION
 
@@ -698,6 +775,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(instance_files())
@@ -711,6 +789,9 @@ class TestCli:
     @example({"graph": '{"n": 3, "edges": [[0, 1], [1, 2]], "pi": [1e-300, 1.0, 1e-300]}',
               "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
     @example({"graph": '{"n": 2, "edges": [[0, 1]], "pi": [5e-324, 1.0]}',
+              "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
+    # a light middle node: the Cheeger bound's (pi_*/pi_0)^2 overflows
+    @example({"graph": '{"n": 3, "edges": [[0, 1], [1, 2]], "pi": [0.5, 1e-300, 0.5]}',
               "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
     def test_hostile_files_exit_0_or_2(self, tmp_path, capsys, files):
         gpath, epath, cpath = tmp_path / "g.json", tmp_path / "e.json", tmp_path / "c.csv"
@@ -731,6 +812,21 @@ class TestCli:
             assert code == cli.EXIT_OK
         elif files["intact"]:
             assert code == cli.EXIT_VALIDATION and files["expect"] in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pi", [[1e-300, 1.0, 1e-300], [0.5, 1e-300, 0.5]])
+def test_extreme_pi_bounds_are_quiet(tmp_path, capsys, pi):
+    # the Cheeger bound past the float range is +inf, printed as JSON's
+    # Infinity (as rho_bar would be), with nothing on stderr
+    gpath = tmp_path / "g.json"
+    TransitionGraph(3, [(0, 1), (1, 2)], pi).save(gpath)
+    assert cli.main(["upper", str(gpath)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["ub_cheeger"] == math.inf
+    assert cli.main(["lower", str(gpath)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["lb_expansion"] > 0
 
 
 def test_python_m_fastmix_solves(tmp_path):

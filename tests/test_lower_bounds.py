@@ -17,7 +17,7 @@ from fastmix.lower_bounds import (Embedding, embedding_bound, embedding_violatio
                                   vertex_expansion)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
-from helpers import (REFERENCE_GRAPHS, expansion_witness_reference,
+from helpers import (REFERENCE_GRAPHS, expansion_witness_reference, neighbors,
                      random_connected_graph, random_valid_chain,
                      vertex_expansion_reference)
 
@@ -82,11 +82,22 @@ class TestNonFiniteEmbeddings:
         with pytest.raises(ValueError, match="finite"):
             Embedding.load(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_edge_length_is_a_violation(self):
         # finite vectors whose squared distance overflows to inf
         graph = TransitionGraph(2, [(0, 1)])
         emb = Embedding(np.array([-1e200, 1e200]), np.ones(2))
         assert any("edge (0,1)" in v for v in embedding_violations(graph, emb))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_length_over_an_overflowing_budget_is_a_violation(self):
+        # slacks of 1e308 at two light ends: the budget of (0,2) overflows to
+        # inf as well, and inf <= inf would pass its squared length 3.24e308
+        pi = np.array([5e-309, 1.0, 5e-309])
+        graph = TransitionGraph(3, [(0, 1), (0, 2), (1, 2)], pi)
+        emb = Embedding(np.array([9e153, 0.0, -9e153]), np.array([1e308, 0.0, 1e308]))
+        report = embedding_violations(graph, emb)
+        assert report == ["edge (0,2): squared distance inf exceeds w(i)+w(j) = inf"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_specified_chain_bound_rejects_non_finite_vectors(self, bad):
@@ -293,7 +304,7 @@ class TestExpansionLowerBound:
             in_s = set(bound.subset)
             pi_s = sum(graph.pi[v] for v in bound.subset)
             inner = {i for i in bound.subset
-                     if any(j not in in_s for j in graph.neighbors(i))}
+                     if any(j not in in_s for j in neighbors(graph, i))}
             expected = pi_s * (1 - pi_s) / sum(graph.pi[v] for v in inner)
             assert value == pytest.approx(expected, abs=1e-9)
             assert value >= bound.value - 1e-9

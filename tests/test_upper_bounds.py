@@ -12,8 +12,8 @@ from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import (cheeger_bound_from_expansion, cheeger_upper_bound,
                                   congestion, equalize_congestion, shortest_path_system)
-from helpers import (check_congestion_soundness, layout_graphs, random_connected_graph,
-                     tree_loads_reference)
+from helpers import (check_congestion_soundness, edge_ids, edge_pairs, incident_edges,
+                     layout_graphs, neighbors, random_connected_graph, tree_loads_reference)
 
 
 def reference_paths(graph):
@@ -24,7 +24,7 @@ def reference_paths(graph):
         d[source] = 0
         queue = [source]
         for u in queue:
-            for v in graph.neighbors(u):
+            for v in neighbors(graph, u):
                 if d[v] < 0:
                     d[v] = d[u] + 1
                     queue.append(v)
@@ -35,7 +35,7 @@ def reference_paths(graph):
             nodes = [x]
             while nodes[-1] != y:
                 cur = nodes[-1]
-                nodes.append(next(v for v in graph.neighbors(cur)
+                nodes.append(next(v for v in neighbors(graph, cur)
                                   if dist[x][v] == dist[x][cur] + 1
                                   and dist[v][y] == dist[x][y] - dist[x][cur] - 1))
             paths[(x, y)] = tuple(nodes)
@@ -44,11 +44,12 @@ def reference_paths(graph):
 
 def reference_loads(graph, paths):
     """Per-pair, per-hop accumulation of W, in pair order."""
-    W = np.zeros(len(graph.edges))
+    ids = edge_ids(graph)
+    W = np.zeros(len(graph.ends))
     for (x, y), nodes in sorted(paths.items()):
         weight = graph.pi[x] * graph.pi[y] * (len(nodes) - 1)
         for a, b in zip(nodes, nodes[1:]):
-            W[graph.edge_index[(min(a, b), max(a, b))]] += weight
+            W[ids[(min(a, b), max(a, b))]] += weight
     return W
 
 
@@ -89,14 +90,15 @@ class TestShortestPaths:
         # the spoke (1,2) carries its own pair alone
         graph = knkn_graph(3)
         W = shortest_path_system(graph)
-        assert W[graph.edge_index[(0, 3)]] == pytest.approx(7 / 12, rel=1e-15)
-        assert W[graph.edge_index[(1, 2)]] == 1 / 36
+        ids = edge_ids(graph)
+        assert W[ids[(0, 3)]] == pytest.approx(7 / 12, rel=1e-15)
+        assert W[ids[(1, 2)]] == 1 / 36
 
     def test_cycle_tie_break(self):
         # both ties go to the smaller neighbour: the pair (0, 2) runs through
         # 1 and (1, 3) through 0, so edge (0,1) carries three pairs, (2,3) one
         graph = cycle_graph(4)
-        assert graph.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert graph.ends.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
         assert shortest_path_system(graph).tolist() == [5 / 16, 3 / 16, 3 / 16, 1 / 16]
 
     def test_single_node_rejected(self):
@@ -124,7 +126,7 @@ class TestCongestion:
         graph = knkn_graph(3)
         chain = max_degree_chain(graph)
         report = congestion(chain, shortest_path_system(graph))
-        loads = dict(zip(graph.edges, report.loads))
+        loads = dict(zip(edge_pairs(graph), report.loads))
         assert loads[(0, 3)] == pytest.approx(7 / 12, abs=1e-12)
         assert loads[(0, 1)] == pytest.approx(1 / 4, abs=1e-12)
         assert loads[(1, 2)] == pytest.approx(1 / 36, abs=1e-12)
@@ -154,8 +156,9 @@ class TestEqualizeCongestion:
         for n in range(3, 9):
             graph = knkn_graph(n)
             chain = equalize_congestion(graph, shortest_path_system(graph))
-            q_bridge = chain.flows[graph.edge_index[(0, n)]]
-            q_spoke = chain.flows[graph.edge_index[(0, 1)]]
+            ids = edge_ids(graph)
+            q_bridge = chain.flows[ids[(0, n)]]
+            q_spoke = chain.flows[ids[(0, 1)]]
             assert q_bridge == pytest.approx((3 * n - 2) / (2 * n * (6 * n - 5)), abs=1e-8)
             assert q_spoke == pytest.approx(3 / (2 * n * (6 * n - 5)), abs=1e-8)
 
@@ -217,6 +220,14 @@ class TestCheeger:
         tau2 = solve_fastest_mixing(graph, SolverConfig(max_iters=1500)).tau2_star
         assert bound >= tau2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pi", [[1e-300, 1.0, 1e-300], [0.5, 1e-300, 0.5],
+                                    [5e-324, 1.0, 5e-324]])
+    def test_past_the_float_range_is_inf(self, pi):
+        # (pi_*/pi_0)^2 overflows; so does the true bound, whose factors are
+        # each at least their floor
+        assert cheeger_upper_bound(TransitionGraph(3, [(0, 1), (1, 2)], pi)) == math.inf
+
     def test_from_expansion_matches_bitwise(self):
         rng = np.random.default_rng(37)
         for _ in range(6):
@@ -238,5 +249,5 @@ def test_path_loads_sum_rule():
     # summing W over a node's star counts every pair's path visits there
     graph = knkn_graph(3)
     W = shortest_path_system(graph)
-    star = W[graph.incident_edges(0)].sum()
+    star = W[incident_edges(graph, 0)].sum()
     assert star / graph.pi[0] == pytest.approx(3 * 3 * (1 - 5 / (6 * 3)), abs=1e-12)
