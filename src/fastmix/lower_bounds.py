@@ -115,11 +115,17 @@ def embedding_bound(graph, emb):
 
     Every feasible embedding lower-bounds the optimal relaxation time on the
     instance; infeasible input is rejected with the violated constraint.
+    Where ||psi(k)||^2 of a light node overflows, the value is summed again
+    as ||sqrt(pi(k)) psi(k)||^2, which overflows only past the float range.
     """
     report = embedding_violations(graph, emb)
     if report:
         raise ValueError("infeasible embedding: " + "; ".join(report))
-    return float(graph.pi @ np.sum(emb.vectors ** 2, axis=1))
+    with np.errstate(over="ignore"):
+        value = float(graph.pi @ np.sum(emb.vectors ** 2, axis=1))
+        if value == math.inf:
+            value = float(np.sum((np.sqrt(graph.pi)[:, None] * emb.vectors) ** 2))
+    return value
 
 
 def specified_chain_bound(chain, vectors):

@@ -16,9 +16,9 @@ from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
                               ising_tree, knkn_graph, path_graph, torus_graph)
 from fastmix.glauber import (TreeSpec, build_glauber_chain,
                              check_rate_improvement_limits, configuration_graph,
-                             log_site_bounds,
-                             majority_cut_bound, optimal_rates, prefix_cut_sizes,
-                             rates_from_log_bounds, site_bounds, uniform_rates)
+                             log_site_bounds, majority_cut_bound, optimal_rates,
+                             prefix_cut_sizes, rates_from_log_bounds, site_bounds,
+                             uniform_rates)
 from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
                                   make_cycle_embedding, make_geometric_embedding,
                                   make_knkn_embedding, make_torus_embedding,

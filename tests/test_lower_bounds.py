@@ -99,6 +99,17 @@ class TestNonFiniteEmbeddings:
         report = embedding_violations(graph, emb)
         assert report == ["edge (0,2): squared distance inf exceeds w(i)+w(j) = inf"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_of_a_light_far_node_stays_finite(self):
+        # psi(0)^2 = 5.0e308 overflows, but pi(0) psi(0)^2 = 2.5: the value
+        # read +inf, a lower bound on tau* that is false
+        pi = np.array([5e-309, 5e-309, 1.0])
+        graph = TransitionGraph(3, [(0, 1), (1, 2)], pi)
+        emb = Embedding(np.array([2.24e154, 9.4e153, 0.0]), np.array([9e307, 9e307, 0.1]))
+        expected = float(np.sum(pi * (emb.vectors[:, 0] / 1e154) ** 2)) * 1e308
+        assert embedding_bound(graph, emb) == pytest.approx(expected, rel=1e-12)
+        assert embedding_bound(graph, emb) == pytest.approx(2.950, abs=1e-3)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_specified_chain_bound_rejects_non_finite_vectors(self, bad):
         graph = TransitionGraph(2, [(0, 1)])
