@@ -58,8 +58,8 @@ def torus_coordinates(index, m, d):
 
 
 def _grid_nodes(m, d, what):
-    """m^d for m >= 3, refused before any power is taken once 3^d alone is
-    past the edge cap."""
+    """m^d for m >= 3, refused without taking the power once d alone puts
+    m^d >= 2^d past the edge cap."""
     if d >= EDGE_CAP.bit_length():
         raise ValueError(f"{what}: past the cap of {EDGE_CAP} edges")
     return m ** d
