@@ -23,10 +23,10 @@ STOCHASTIC_TOL = 1e-10  # row sums / detailed balance of a dense matrix
 NONNEG_TOL = 1e-12      # nonnegative flows and diagonals, off-edge zeros
 SATURATE_SWEEPS = 500   # fair-share sweeps of saturate_flows at most
 SATURATE_TOL = 1e-15    # budget and flow increments below it count as zero
-# edges of a generated graph: ``fastmix gen`` costs up to ~650 B and ~5 us an
-# edge (4.8 s, 684 MB peak for the 10^6-node cycle; 6.5 s, 1.1 GB for the
-# 1000 x 1000 torus, 2 x 10^6 edges, on a 2-CPU x86_64 machine), so the cap
-# admits that torus
+# edges of a generated graph: ``fastmix gen`` costs up to ~690 B and ~5 us an
+# edge (4.9 s, 686 MB peak for the 10^6-node cycle; 7.0 s, 1.1 GB for the
+# 1000 x 1000 torus, 2 x 10^6 edges; medians of three runs on a shared 2-CPU
+# x86_64 machine), so the cap admits that torus
 EDGE_CAP = 2 ** 21
 
 

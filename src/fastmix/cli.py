@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every command prints JSON; ``report``, the one command with a table, also
-takes ``--format csv``.  Exit codes: 0 on success, 2 when inputs fail
-validation or are too large for dense storage, 3 when a certified bound
-inequality is violated by the computed table.
+Every command prints strict JSON, a non-finite number as ``null``;
+``report``, the one command with a table, also takes ``--format csv``.
+Exit codes: 0 on success, 2 when inputs fail validation or are too large
+for dense storage, 3 when a certified bound inequality is violated by the
+computed table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ EXIT_INVERSION = 3
 
 
 def _emit(data):
-    print(json.dumps(data, indent=2, default=str))
+    print(experiments.json_text(data))
 
 
 def _key_values(pairs):

@@ -52,7 +52,7 @@ def _family_embedding(family, params):
     if family == "knkn" and int(params["n"]) >= 3:
         return lower_bounds.make_knkn_embedding(int(params["n"]))
     if family == "cycle":
-        return lower_bounds.make_cycle_embedding(int(params["n"]))
+        return lower_bounds.make_torus_embedding(int(params["n"]), 1)
     if family == "torus":
         return lower_bounds.make_torus_embedding(int(params["m"]), int(params["d"]))
     if family == "geometric":
@@ -171,10 +171,32 @@ def _flatten(row):
     return flat
 
 
+def _nulled(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _nulled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(item) for item in value]
+    return value
+
+
+def json_text(data):
+    """``data`` as strict JSON text, each non-finite float as ``null``.  Only
+    a payload that the strict encoder refuses is walked, so a large finite
+    one (a generated graph) is encoded once."""
+    try:
+        return json.dumps(data, indent=2, allow_nan=False, default=str)
+    except ValueError:
+        return json.dumps(_nulled(data), indent=2, allow_nan=False, default=str)
+
+
 def write_table(rows, handle, fmt="csv"):
-    """The rows as CSV (a header, then the quoted columns) or as JSON."""
+    """The rows as CSV (a header, then the quoted columns, +inf as ``inf``)
+    or as strict JSON (see ``json_text``)."""
     if fmt == "json":
-        handle.write(json.dumps(rows, indent=2, default=str) + "\n")
+        handle.write(json_text(rows) + "\n")
         return
     columns = ISING_COLUMNS if rows and rows[0]["family"] == "ising_tree" else GRAPH_COLUMNS
     writer = csv.DictWriter(handle, fieldnames=columns)

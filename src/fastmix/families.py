@@ -4,7 +4,8 @@ Node numbering conventions (relied upon by the analytic embeddings):
 
 * ``knkn_graph(n)``: one complete side on ``0..n-1``, the other on
   ``n..2n-1``, linking edge ``(0, n)``.
-* ``torus_graph(m, d)``: row-major, first coordinate slowest.
+* ``torus_graph(m, d)`` (the cycle family is d = 1) and
+  ``geometric_graph(m, k, d)``: row-major, first coordinate slowest.
 * ``ising_tree``: sites in DFS preorder from the root.
 
 Each graph generator computes its edge count from its parameters and
@@ -13,6 +14,8 @@ builds anything.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -29,13 +32,6 @@ def knkn_graph(n):
     return TransitionGraph(2 * n, edges + [(0, n)])
 
 
-def cycle_graph(n):
-    if n < 3:
-        raise ValueError("need n >= 3")
-    check_edge_count(n, f"cycle n={n}")
-    return TransitionGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complete_graph(n):
     if n < 2:
         raise ValueError("need n >= 2")
@@ -48,55 +44,44 @@ def path_graph(n):
     return TransitionGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def torus_coordinates(index, m, d):
-    """Coordinates (i_1, ..., i_d) of a row-major torus node index."""
-    coords = []
-    for _ in range(d):
-        coords.append(index % m)
-        index //= m
-    return tuple(reversed(coords))
-
-
-def _grid_nodes(m, d, what):
-    """m^d for m >= 3, refused without taking the power once d alone puts
-    m^d >= 2^d past the edge cap."""
+def _lattice(m, d, what, k=None):
+    """The m^d-point torus, node i joined to i + s (mod m in each coordinate)
+    for each step s: the d unit steps, or one of each +/- pair of the nonzero
+    offsets with every |coordinate| <= k.  The edge count is checked before
+    anything is built, and without taking the power m^d >= 2^d once d alone
+    is past the cap."""
     if d >= EDGE_CAP.bit_length():
         raise ValueError(f"{what}: past the cap of {EDGE_CAP} edges")
-    return m ** d
+    n = m ** d
+    if k is None:
+        check_edge_count(n * d, what)
+        steps = np.eye(d, dtype=np.int64)
+    else:
+        check_edge_count(n * ((2 * k + 1) ** d - 1) // 2, what)
+        # the lexicographically positive offsets: first nonzero coordinate > 0
+        steps = [s for s in itertools.product(range(-k, k + 1), repeat=d) if s > (0,) * d]
+    grid = np.arange(n).reshape((m,) * d)
+    targets = [np.roll(grid, np.negative(s), tuple(range(d))).ravel() for s in steps]
+    return TransitionGraph(n, np.column_stack([np.tile(grid.ravel(), len(targets)),
+                                               np.concatenate(targets)]))
 
 
 def torus_graph(m, d):
     """Nearest-neighbor graph of the d-dimensional m-point torus."""
     if m < 3 or d < 1:
         raise ValueError("need m >= 3, d >= 1")
-    what = f"torus m={m} d={d}"
-    n = _grid_nodes(m, d, what)
-    check_edge_count(d * n, what)
-    index = np.arange(n).reshape((m,) * d)
-    steps = [np.roll(index, -1, axis=axis).ravel() for axis in range(d)]
-    return TransitionGraph(n, np.column_stack([np.tile(index.ravel(), d),
-                                               np.concatenate(steps)]))
+    return _lattice(m, d, f"torus m={m} d={d}")
 
 
 def geometric_graph(m, k, d=1):
-    """Torus points joined whenever every coordinate is at most k cells apart.
-
-    Built from an N x N x d table of coordinate gaps (N = m^d), which holds
-    more entries than the graph has edges; the cap counts the table.
-    """
+    """Torus points joined whenever every coordinate is at most k cells apart."""
     if not (1 <= k and 2 * k < m):
         raise ValueError("need 1 <= k < m/2")
     if m % k != 0:
         raise ValueError("k must divide m")
     if d < 1:
         raise ValueError("need d >= 1")
-    what = f"geometric m={m} k={k} d={d} (its pairwise table)"
-    n = _grid_nodes(m, d, what)
-    check_edge_count(n * n * d, what)
-    coords = np.array([torus_coordinates(i, m, d) for i in range(n)])
-    gap = np.abs(coords[:, None] - coords[None, :])
-    near = np.all(np.minimum(gap, m - gap) <= k, axis=2)
-    return TransitionGraph(n, np.argwhere(np.triu(near, 1)))
+    return _lattice(m, d, f"geometric m={m} k={k} d={d}", k)
 
 
 def ising_tree(b, r, beta):
@@ -120,7 +105,10 @@ def generate(family, params):
     if family == "knkn":
         return knkn_graph(int(need("n")))
     if family == "cycle":
-        return cycle_graph(int(need("n")))
+        n = int(need("n"))
+        if n < 3:
+            raise ValueError("need n >= 3")
+        return torus_graph(n, 1)
     if family == "torus":
         return torus_graph(int(need("m")), int(need("d")))
     if family == "geometric":

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .chains import _float_array, _node_ids, _read_json
-from .families import torus_coordinates
 
 FEASIBILITY_SLACK = 1e-9   # constructions hit constraints with equality
 EXHAUSTIVE_NODE_CAP = 20     # 2^20 cuts take a fraction of a second
@@ -294,12 +293,13 @@ def vertex_expansion(graph, candidates=None):
 
 @dataclass(frozen=True)
 class ExpansionBound:
-    """1/(2 Upsilon) plus the two-point embedding certifying it."""
+    """1/(2 Upsilon) plus the two-point embedding certifying it, or None
+    where no feasible witness exists in floats (see ``expansion_lower_bound``)."""
 
     value: float
     upsilon: float
     subset: tuple
-    embedding: Embedding
+    embedding: Embedding | None
 
 
 def expansion_lower_bound(graph, candidates=None):
@@ -308,8 +308,12 @@ def expansion_lower_bound(graph, candidates=None):
     The returned subset is oriented so that the boundary carrying the slack,
     d(S^c), is the lighter one; the witness then evaluates under
     ``embedding_bound`` to exactly pi(S) pi(S^c) / pi(dS^c), which is at
-    least the returned value.  Raises ValueError when there is no proper
-    cut to take: a single node, or an empty candidate list.
+    least the returned value.  The embedding is None where the witness is
+    not feasible in floats: pi(inner) so light that the slack 1/pi(inner)
+    overflows (no finite witness then has sum pi(i) w(i) = 1), or vectors so
+    long that their rounding breaks the absolute centring tolerance.  The
+    value stands either way.  Raises ValueError when there is no proper cut
+    to take: a single node, or an empty candidate list.
     """
     upsilon, s_min = vertex_expansion(graph, candidates)
     if s_min is None:
@@ -337,12 +341,16 @@ def expansion_lower_bound(graph, candidates=None):
     vectors = np.where(in_s, pi_c * sep, -pi_s * sep)
     # every crossing edge has squared length (pi_s + pi_c)^2 / pi(inner);
     # the slack is that length as rounded, so the witness is feasible as is
-    d2 = (vectors[ends[crossing, 0]] - vectors[ends[crossing, 1]]) ** 2
-    slacks = np.zeros(n)
-    slacks[inner] = max(w0, float(d2.max()))
+    with np.errstate(over="ignore"):
+        d2 = (vectors[ends[crossing, 0]] - vectors[ends[crossing, 1]]) ** 2
+    slack = max(w0, float(d2.max()))        # inf when 1/pi(inner) overflows
+    witness = None
+    if math.isfinite(slack):
+        witness = Embedding(vectors, np.where(inner, slack, 0.0))
+        if embedding_violations(graph, witness):    # rounding at a huge scale
+            witness = None
     return ExpansionBound(value=1.0 / (2.0 * upsilon), upsilon=upsilon,
-                          subset=subset,
-                          embedding=Embedding(vectors, slacks))
+                          subset=subset, embedding=witness)
 
 
 # -- analytic embeddings for the benchmark families ----------------------
@@ -366,30 +374,23 @@ def make_knkn_embedding(n):
     return Embedding(vectors, slacks)
 
 
-def make_cycle_embedding(n):
-    """Evenly spread circle, radius sqrt(2)/(2 sin(pi/n)), uniform slacks."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    radius = math.sqrt(2.0) / (2.0 * math.sin(math.pi / n))
-    angles = 2.0 * math.pi * np.arange(n) / n
-    vectors = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    return Embedding(vectors, np.ones(n))
+def _circle_embedding(m, d, k, axes):
+    """Each node's first ``axes`` torus coordinates c (row-major, as
+    ``families.torus_graph`` numbers the m^d nodes) placed on one m-point
+    circle table, radius * (cos, sin)(2 pi c / m) with radius
+    sqrt(2)/(2 sin(k pi/m)); uniform slacks."""
+    radius = math.sqrt(2.0) / (2.0 * math.sin(k * math.pi / m))
+    circle = np.array([(radius * math.cos(2.0 * math.pi * c / m),
+                        radius * math.sin(2.0 * math.pi * c / m)) for c in range(m)])
+    coords = np.indices((m,) * d)[:axes].reshape(axes, -1)
+    return Embedding(circle[coords.T].reshape(m ** d, 2 * axes), np.ones(m ** d))
 
 
 def make_torus_embedding(m, d):
-    """Product of circles, one pair of coordinates per torus axis."""
+    """Product of circles, one pair of coordinates per axis (d = 1: the cycle)."""
     if m < 3 or d < 1:
         raise ValueError("need m >= 3, d >= 1")
-    radius = math.sqrt(2.0) / (2.0 * math.sin(math.pi / m))
-    n = m ** d
-    vectors = np.empty((n, 2 * d))
-    for i in range(n):
-        coords = torus_coordinates(i, m, d)
-        for axis, c in enumerate(coords):
-            angle = 2.0 * math.pi * c / m
-            vectors[i, 2 * axis] = radius * math.cos(angle)
-            vectors[i, 2 * axis + 1] = radius * math.sin(angle)
-    return Embedding(vectors, np.ones(n))
+    return _circle_embedding(m, d, 1, d)
 
 
 def make_geometric_embedding(m, k, d=1):
@@ -398,11 +399,4 @@ def make_geometric_embedding(m, k, d=1):
         raise ValueError("need 1 <= k < m/2")
     if m % k != 0:
         raise ValueError("k must divide m")
-    radius = math.sqrt(2.0) / (2.0 * math.sin(k * math.pi / m))
-    n = m ** d
-    vectors = np.empty((n, 2))
-    for i in range(n):
-        first = torus_coordinates(i, m, d)[0]
-        angle = 2.0 * math.pi * first / m
-        vectors[i] = (radius * math.cos(angle), radius * math.sin(angle))
-    return Embedding(vectors, np.ones(n))
+    return _circle_embedding(m, d, k, 1)

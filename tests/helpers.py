@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fastmix import glauber, solver
 from fastmix.chains import ReversibleChain, TransitionGraph, validate_chain
-from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
+from fastmix.families import complete_graph, knkn_graph, torus_graph
 from fastmix.spectral import rayleigh_quotient, spectrum
 from fastmix.upper_bounds import congestion, shortest_path_system
 
@@ -209,8 +209,8 @@ def random_graph(n, uniform_pi=False):
 # n = 2..16; uniform-pi cycles, tori, complete graphs and linked cliques
 # have many equal ratios and exercise the tie rule
 REFERENCE_GRAPHS = (
-    [(f"cycle{n}", lambda n=n: cycle_graph(n)) for n in range(3, 17)]
-    + [(f"cycle{n}-uneven", lambda n=n: uneven(cycle_graph(n))) for n in (4, 7, 10, 13, 16)]
+    [(f"cycle{n}", lambda n=n: torus_graph(n, 1)) for n in range(3, 17)]
+    + [(f"cycle{n}-uneven", lambda n=n: uneven(torus_graph(n, 1))) for n in (4, 7, 10, 13, 16)]
     + [(f"torus{m}x{m}", lambda m=m: torus_graph(m, 2)) for m in (3, 4)]
     + [(f"torus{m}x{m}-uneven", lambda m=m: uneven(torus_graph(m, 2))) for m in (3, 4)]
     + [(f"knkn{n}", lambda n=n: knkn_graph(n)) for n in range(2, 9)]
@@ -435,6 +435,54 @@ def equalized_rho_reference(graph, W):
     """rho* of equalize_congestion: the largest star sum of W over pi."""
     sums = star_sums_reference(graph, W)
     return max(sums[i] / graph.pi[i] for i in range(graph.n))
+
+
+# -- references for the lattice families ------------------------------------
+# The forms the one coordinate grid replaced: node coordinates by a per-node
+# loop, edges from an N x N x d table of coordinate gaps, and the closed-form
+# circle embeddings filled node by node.
+
+
+def torus_coordinates_reference(index, m, d):
+    """Coordinates (i_1, ..., i_d) of a row-major torus node index."""
+    coords = []
+    for _ in range(d):
+        coords.append(index % m)
+        index //= m
+    return tuple(reversed(coords))
+
+
+def lattice_reference(m, d, k=None):
+    """The torus (k None: circular gaps summing to one) or the geometric graph
+    (every circular gap at most k) from the N x N x d table of gaps."""
+    n = m ** d
+    coords = np.array([torus_coordinates_reference(i, m, d) for i in range(n)])
+    gap = np.abs(coords[:, None] - coords[None, :])
+    gap = np.minimum(gap, m - gap)
+    near = gap.sum(axis=2) == 1 if k is None else np.all(gap <= k, axis=2)
+    return TransitionGraph(n, np.argwhere(np.triu(near, 1)))
+
+
+def torus_embedding_reference(m, d):
+    """The product of circles, one node and one axis at a time."""
+    radius = math.sqrt(2.0) / (2.0 * math.sin(math.pi / m))
+    vectors = np.empty((m ** d, 2 * d))
+    for i in range(m ** d):
+        for axis, c in enumerate(torus_coordinates_reference(i, m, d)):
+            angle = 2.0 * math.pi * c / m
+            vectors[i, 2 * axis] = radius * math.cos(angle)
+            vectors[i, 2 * axis + 1] = radius * math.sin(angle)
+    return vectors
+
+
+def geometric_embedding_reference(m, k, d):
+    """The single circle of the first axis, one node at a time."""
+    radius = math.sqrt(2.0) / (2.0 * math.sin(k * math.pi / m))
+    vectors = np.empty((m ** d, 2))
+    for i in range(m ** d):
+        angle = 2.0 * math.pi * torus_coordinates_reference(i, m, d)[0] / m
+        vectors[i] = (radius * math.cos(angle), radius * math.sin(angle))
+    return vectors
 
 
 # -- references for the solver ---------------------------------------------

@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 from fastmix.chains import TransitionGraph, validate_chain
-from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
-                              ising_tree, knkn_graph, path_graph, torus_graph)
+from fastmix.families import (complete_graph, geometric_graph, ising_tree,
+                              knkn_graph, path_graph, torus_graph)
 from fastmix.glauber import (TreeSpec, build_glauber_chain,
                              check_rate_improvement_limits, configuration_graph,
                              log_site_bounds, majority_cut_bound, optimal_rates,
                              prefix_cut_sizes, rates_from_log_bounds, site_bounds,
                              uniform_rates)
 from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
-                                  make_cycle_embedding, make_geometric_embedding,
-                                  make_knkn_embedding, make_torus_embedding,
-                                  vertex_expansion)
+                                  make_geometric_embedding, make_knkn_embedding,
+                                  make_torus_embedding, vertex_expansion)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from fastmix.chains import max_degree_chain, symmetric_walk
@@ -82,8 +81,8 @@ def test_criterion_02_equalization_closed_forms():
 
 
 def test_criterion_03_cycle4_optimality():
-    graph = cycle_graph(4)
-    bound = embedding_bound(graph, make_cycle_embedding(4))
+    graph = torus_graph(4, 1)
+    bound = embedding_bound(graph, make_torus_embedding(4, 1))
     result = solve_fastest_mixing(graph, SolverConfig(max_iters=2000))
     ok = abs(bound - 1.0) <= 1e-12 and abs(result.tau2_star - 1.0) <= 1e-3
     verdict(3, ok, f"embedding bound {bound} (1e-12), solver tau2 "

@@ -13,7 +13,7 @@ from fastmix.chains import (ReversibleChain, TransitionGraph, _dense_violations,
                             max_closed_neighborhood_mass, max_degree_chain,
                             saturate_flows, save_chain_csv, symmetric_walk,
                             validate_chain)
-from fastmix.families import cycle_graph, complete_graph, knkn_graph, torus_graph
+from fastmix.families import complete_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import specified_chain_bound
 from fastmix.spectral import laplacian, rayleigh_quotient, spectrum, symmetrized
 from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
@@ -436,7 +436,7 @@ class TestFlowBudgets:
 
 class TestSymmetricWalk:
     def test_cycle(self):
-        chain = symmetric_walk(cycle_graph(4))
+        chain = symmetric_walk(torus_graph(4, 1))
         assert chain.P[0, 1] == 0.5 and chain.P[0, 3] == 0.5
         assert validate_chain(chain) == []
 

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from fastmix import cli, experiments, families
 from fastmix.chains import (EDGE_CAP, ReversibleChain, TransitionGraph, check_edge_count,
                             max_degree_chain)
+from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
+                                  make_geometric_embedding, make_torus_embedding)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from fastmix.upper_bounds import congestion, equalize_congestion, shortest_path_system
-from helpers import congestion_reference, edge_pairs, random_connected_graph
+from helpers import (congestion_reference, edge_pairs, geometric_embedding_reference,
+                     lattice_reference, neighbors, random_connected_graph,
+                     torus_coordinates_reference, torus_embedding_reference)
 
 
 # hostile JSON: every kind of value, nested, in place of a field or an entry
@@ -152,15 +156,17 @@ class TestGenerators:
         assert np.diff(graph.star_offsets).tolist() == [4] * 6
 
     def test_torus_indexing_row_major(self):
-        assert families.torus_coordinates(5, 3, 2) == (1, 2)
-        assert [families.torus_coordinates(i, 3, 2) for i in range(9)] == \
+        # node 5 of the 3 x 3 torus is (1, 2): first coordinate slowest
+        assert neighbors(families.torus_graph(3, 2), 5) == (2, 3, 4, 8)
+        assert [torus_coordinates_reference(i, 3, 2) for i in range(9)] == \
             [(a, b) for a in range(3) for b in range(3)]
 
-    @pytest.mark.parametrize("family, params, tabled", [
-        ("knkn", {"n": 2}, False), ("knkn", {"n": 7}, False), ("cycle", {"n": 9}, False),
-        ("torus", {"m": 3, "d": 1}, False), ("torus", {"m": 4, "d": 3}, False),
-        ("geometric", {"m": 6, "k": 2}, True), ("geometric", {"m": 8, "k": 2, "d": 2}, True)])
-    def test_edge_count_from_the_parameters(self, monkeypatch, family, params, tabled):
+    @pytest.mark.parametrize("family, params", [
+        ("knkn", {"n": 2}), ("knkn", {"n": 7}), ("cycle", {"n": 9}),
+        ("torus", {"m": 3, "d": 1}), ("torus", {"m": 4, "d": 3}),
+        ("geometric", {"m": 6, "k": 2}), ("geometric", {"m": 8, "k": 2, "d": 2}),
+        ("geometric", {"m": 10, "k": 1, "d": 3})])
+    def test_edge_count_from_the_parameters(self, monkeypatch, family, params):
         counts = []
 
         def recorded(count, what):
@@ -169,9 +175,7 @@ class TestGenerators:
 
         monkeypatch.setattr(families, "check_edge_count", recorded)
         graph = families.generate(family, params)
-        # geometric counts its pairwise table, more than its edges
-        expected = graph.n ** 2 * params.get("d", 1) if tabled else len(graph.ends)
-        assert counts == [expected] and len(graph.ends) <= expected
+        assert counts == [len(graph.ends)]
 
     def test_edge_cap_is_inclusive(self):
         check_edge_count(EDGE_CAP, "at the cap")
@@ -187,6 +191,8 @@ class TestGenerators:
                   "--param", "d=100"],
                  ["--family", "geometric", "--param", "m=" + "1" + "0" * 400,
                   "--param", "k=1"],
+                 ["--family", "geometric", "--param", "m=" + "1" + "0" * 400,
+                  "--param", "k=" + "1" + "0" * 399],
                  ["--family", "torus", "--param", "m=3", "--param", "d=22"],
                  ["--family", "torus", "--param", "m=1449", "--param", "d=2"]]
         script = ("import json, sys\nfrom fastmix import cli\n"
@@ -207,8 +213,8 @@ class TestGenerators:
         assert all(f"past the cap of {EDGE_CAP}" in line for line in errors)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            families.cycle_graph(2)
+        with pytest.raises(ValueError, match="need n >= 3"):
+            families.generate("cycle", {"n": 2})
         with pytest.raises(ValueError):
             families.geometric_graph(6, 3)
         with pytest.raises(ValueError):
@@ -232,6 +238,53 @@ class TestGenerators:
             back = TransitionGraph.load(path)
             assert np.array_equal(back.ends, graph.ends)
             assert np.array_equal(back.pi, graph.pi)
+
+
+# the lattices whose N x N x d gap table (N = m^d) fits the edge cap, as the
+# table generator admitted them: tori (k None) and geometric graphs
+TABLED_LATTICES = [(m, d, k) for m in range(3, 13) for d in (1, 2, 3)
+                   for k in [None] + [k for k in range(1, m) if 2 * k < m and m % k == 0]
+                   if m ** (2 * d) * d <= EDGE_CAP]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("m, d, k", TABLED_LATTICES)
+    def test_graph_matches_the_gap_table(self, m, d, k):
+        graph = families.torus_graph(m, d) if k is None else families.geometric_graph(m, k, d)
+        reference = lattice_reference(m, d, k)
+        assert graph.ends.tobytes() == reference.ends.tobytes()
+        assert graph.pi.tobytes() == reference.pi.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_embeddings_match_the_node_loops(self, m, d):
+        torus = make_torus_embedding(m, d)
+        assert torus.vectors.tobytes() == torus_embedding_reference(m, d).tobytes()
+        assert torus.slacks.tobytes() == np.ones(m ** d).tobytes()
+        for k in [k for k in range(1, m) if 2 * k < m and m % k == 0]:
+            geometric = make_geometric_embedding(m, k, d)
+            assert geometric.vectors.tobytes() == geometric_embedding_reference(m, k, d).tobytes()
+            assert geometric.slacks.tobytes() == np.ones(m ** d).tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycle_is_the_one_dimensional_torus(self, n):
+        cycle = families.generate("cycle", {"n": str(n)})
+        assert edge_pairs(cycle) == tuple(sorted((min(i, (i + 1) % n), max(i, (i + 1) % n))
+                                                 for i in range(n)))
+        assert cycle.ends.tobytes() == families.torus_graph(n, 1).ends.tobytes()
+        emb = experiments._family_embedding("cycle", {"n": str(n)})
+        assert emb.vectors.tobytes() == torus_embedding_reference(n, 1).tobytes()
+
+    def test_geometric_past_the_old_table(self, capsys):
+        # 10^6 x 3 gap entries were past the cap; the graph has 1000 * 26 / 2 edges
+        graph = families.geometric_graph(10, 1, 3)
+        assert len(graph.ends) == 13_000
+        assert np.diff(graph.star_offsets).tolist() == [26] * 1000
+        bound = embedding_bound(graph, make_geometric_embedding(10, 1, 3))
+        assert bound == pytest.approx(1 / (2 * math.sin(math.pi / 10) ** 2), rel=1e-12)
+        assert cli.main(["gen", "--family", "geometric", "--param", "m=10", "--param", "k=1",
+                         "--param", "d=3"]) == cli.EXIT_OK
+        assert len(strict_json(capsys.readouterr().out)["edges"]) == 13_000
 
 
 class TestExperiments:
@@ -442,19 +495,28 @@ class TestExperiments:
         assert len(next(csv.reader([text[1]]))) == len(experiments.GRAPH_COLUMNS)
 
 
+def strict_json(text):
+    """``text`` parsed as strict JSON: NaN and +-Infinity are refused."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def check_upper_payload(graph, chain, payload):
     """The ``fastmix upper`` JSON of ``chain``: W and ratios keyed "i,j" in edge
-    order, bitwise the loop's values; argmax_edge a list naming the worst
-    ratio, which is rho_bar."""
+    order, bitwise the loop's values with +inf as null; argmax_edge a list
+    naming the worst ratio, which is rho_bar."""
     W = shortest_path_system(graph)
     loads, ratios, rho_bar, argmax = congestion_reference(chain, W)
     keys = [f"{i},{j}" for i, j in graph.ends.tolist()]
-    assert list(payload["W"]) == list(payload["ratios"]) == keys
+    got = {key: math.inf if r is None else r for key, r in payload["ratios"].items()}
+    rho = math.inf if payload["rho_bar"] is None else payload["rho_bar"]
+    assert list(payload["W"]) == list(got) == keys
     assert np.array(list(payload["W"].values())).tobytes() == loads.tobytes()
-    assert np.array(list(payload["ratios"].values())).tobytes() == ratios.tobytes()
+    assert np.array(list(got.values())).tobytes() == ratios.tobytes()
     assert payload["argmax_edge"] == list(argmax)
-    assert payload["rho_bar"] == rho_bar == max(payload["ratios"].values())
-    assert payload["ratios"]["{},{}".format(*payload["argmax_edge"])] == rho_bar
+    assert rho == rho_bar == max(got.values())
+    assert got["{},{}".format(*payload["argmax_edge"])] == rho_bar
 
 
 class TestCli:
@@ -469,7 +531,7 @@ class TestCli:
 
     def test_expansion_fields_stop_at_the_cap(self, tmp_path, capsys):
         gpath = tmp_path / "c21.json"
-        families.cycle_graph(21).save(gpath)
+        families.torus_graph(21, 1).save(gpath)
         assert cli.main(["lower", str(gpath)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert not {"vertex_expansion", "lb_expansion", "expansion_subset"} & set(payload)
@@ -477,11 +539,10 @@ class TestCli:
         assert "ub_cheeger" not in json.loads(capsys.readouterr().out)
 
     def test_lower_with_embedding(self, tmp_path, capsys):
-        from fastmix.lower_bounds import make_cycle_embedding
         gpath = tmp_path / "c4.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         epath = tmp_path / "emb.json"
-        make_cycle_embedding(4).save(epath)
+        make_torus_embedding(4, 1).save(epath)
         assert cli.main(["lower", str(gpath), "--embedding", str(epath)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lb_embed"] == pytest.approx(1.0)
@@ -495,7 +556,7 @@ class TestCli:
         assert payload["rho_bar"] == pytest.approx(6.5)
         assert cpath.exists()
 
-    @pytest.mark.parametrize("graph", [families.knkn_graph(3), families.cycle_graph(5)],
+    @pytest.mark.parametrize("graph", [families.knkn_graph(3), families.torus_graph(5, 1)],
                              ids=["knkn3", "cycle5"])
     def test_upper_json_contract(self, tmp_path, capsys, graph):
         gpath = tmp_path / "g.json"
@@ -506,17 +567,18 @@ class TestCli:
         check_upper_payload(graph, chain, payload)
 
     def test_upper_json_contract_with_a_zero_flow_edge(self, capsys):
-        # the loaded edge (2,3) carries no flow: its ratio, and rho_bar, are +inf
-        graph = families.cycle_graph(4)
+        # the loaded edge (2,3) carries no flow: its ratio, and rho_bar, are
+        # +inf, printed as null
+        graph = families.torus_graph(4, 1)
         chain = ReversibleChain(graph, [0.25, 0.25, 0.25, 0.0])
         cli._emit(congestion(chain, shortest_path_system(graph)).to_json_dict())
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rho_bar"] == math.inf and payload["argmax_edge"] == [2, 3]
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["rho_bar"] is None and payload["argmax_edge"] == [2, 3]
         check_upper_payload(graph, chain, payload)
 
     def test_solve_subcommand(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         assert cli.main(["solve", str(gpath), "--iters", "500"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau2_star"] == pytest.approx(1.0, abs=1e-3)
@@ -526,7 +588,7 @@ class TestCli:
 
     def test_solve_iters_caps_newton_steps(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
-        families.cycle_graph(6).save(gpath)
+        families.torus_graph(6, 1).save(gpath)
         assert cli.main(["solve", str(gpath), "--iters", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["iterations"] <= 3
@@ -535,13 +597,13 @@ class TestCli:
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_solve_rejects_bad_iters(self, tmp_path, capsys, iters):
         gpath = tmp_path / "g.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         assert cli.main(["solve", str(gpath), f"--iters={iters}"]) == cli.EXIT_VALIDATION
         assert "max_iters" in capsys.readouterr().err
 
     def test_lower_rejects_nan_embedding(self, tmp_path, capsys):
         gpath = tmp_path / "c4.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         epath = tmp_path / "nan.json"
         epath.write_text('{"d": 1, "psi": [[NaN], [NaN], [NaN], [NaN]], '
                          '"w": [NaN, NaN, NaN, NaN]}')
@@ -552,7 +614,7 @@ class TestCli:
 
     def test_spectral_rejects_nan_chain(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         cpath = tmp_path / "nan.csv"
         cpath.write_text("\n".join(",".join(["nan"] * 4) for _ in range(4)) + "\n")
         assert cli.main(["spectral", str(gpath), "--chain", str(cpath)]) == \
@@ -604,7 +666,7 @@ class TestCli:
 
     def test_spectral_with_chain(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         assert cli.main(["spectral", str(gpath), "--standard", "walk"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda2"] == pytest.approx(0.0, abs=1e-10)
@@ -630,7 +692,7 @@ class TestCli:
 
     def test_format_belongs_to_report(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         with pytest.raises(SystemExit) as exit_:
             cli.main(["upper", str(gpath), "--format", "csv"])
         assert exit_.value.code == cli.EXIT_VALIDATION
@@ -657,7 +719,7 @@ class TestCli:
             raise MemoryError("Unable to allocate 74.5 GiB")
 
         gpath = tmp_path / "g.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         monkeypatch.setattr(cli, "max_degree_chain", no_room)
         monkeypatch.setattr(cli.upper_bounds, "shortest_path_system", no_room)
         monkeypatch.setattr(cli, "solve_fastest_mixing", no_room)
@@ -767,7 +829,7 @@ class TestCli:
         ('[1, 2]', "not a JSON object")])
     def test_malformed_embedding_file_exit_code(self, tmp_path, capsys, text, message):
         gpath = tmp_path / "c4.json"
-        families.cycle_graph(4).save(gpath)
+        families.torus_graph(4, 1).save(gpath)
         epath = tmp_path / "bad.json"
         epath.write_text(text)
         assert cli.main(["lower", str(gpath), "--embedding", str(epath)]) == \
@@ -788,7 +850,10 @@ class TestCli:
     # the solver's Newton system overflows (1/q^2), and its start flows underflow
     @example({"graph": '{"n": 3, "edges": [[0, 1], [1, 2]], "pi": [1e-300, 1.0, 1e-300]}',
               "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
+    # the expansion witness's slack 1/pi(inner) overflows; the bound stands
     @example({"graph": '{"n": 2, "edges": [[0, 1]], "pi": [5e-324, 1.0]}',
+              "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
+    @example({"graph": '{"n": 3, "edges": [[0, 1], [1, 2]], "pi": [5e-324, 1.0, 5e-324]}',
               "embedding": "{}", "chain": b"1.0\n", "expect": None, "intact": False})
     # a light middle node: the Cheeger bound's (pi_*/pi_0)^2 overflows
     @example({"graph": '{"n": 3, "edges": [[0, 1], [1, 2]], "pi": [0.5, 1e-300, 0.5]}',
@@ -807,6 +872,8 @@ class TestCli:
             assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
             if code == cli.EXIT_VALIDATION:
                 assert captured.out == ""
+            else:
+                strict_json(captured.out)
         # the last command read the chain CSV; on the valid graph its outcome is known
         if files["intact"] and files["expect"] is None:
             assert code == cli.EXIT_OK
@@ -815,18 +882,71 @@ class TestCli:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("pi", [[1e-300, 1.0, 1e-300], [0.5, 1e-300, 0.5]])
+@pytest.mark.parametrize("pi", [[1e-300, 1.0, 1e-300], [0.5, 1e-300, 0.5],
+                                [5e-324, 1.0], [5e-324, 1.0, 5e-324]])
 def test_extreme_pi_bounds_are_quiet(tmp_path, capsys, pi):
-    # the Cheeger bound past the float range is +inf, printed as JSON's
-    # Infinity (as rho_bar would be), with nothing on stderr
+    # the Cheeger bound past the float range is +inf, printed as null (as
+    # rho_bar would be), with nothing on stderr
     gpath = tmp_path / "g.json"
-    TransitionGraph(3, [(0, 1), (1, 2)], pi).save(gpath)
+    TransitionGraph(len(pi), [(i, i + 1) for i in range(len(pi) - 1)], pi).save(gpath)
     assert cli.main(["upper", str(gpath)]) == cli.EXIT_OK
     captured = capsys.readouterr()
-    assert captured.err == "" and json.loads(captured.out)["ub_cheeger"] == math.inf
+    assert captured.err == "" and strict_json(captured.out)["ub_cheeger"] is None
     assert cli.main(["lower", str(gpath)]) == cli.EXIT_OK
     captured = capsys.readouterr()
-    assert captured.err == "" and json.loads(captured.out)["lb_expansion"] > 0
+    assert captured.err == "" and strict_json(captured.out)["lb_expansion"] > 0
+
+
+@pytest.mark.parametrize("pi", [[5e-324, 1.0], [5e-324, 1.0, 5e-324]])
+def test_overflowing_witness_leaves_the_expansion_bound(pi):
+    # Upsilon = 1 is finite, but no finite witness has sum pi(i) w(i) = 1
+    # with w = 1/pi(inner) = 1/5e-324
+    graph = TransitionGraph(len(pi), [(i, i + 1) for i in range(len(pi) - 1)], pi)
+    bound = expansion_lower_bound(graph)
+    assert (bound.upsilon, bound.value, bound.embedding) == (1.0, 0.5, None)
+
+
+@st.composite
+def cli_commands(draw):
+    """argv of a ``gen``, ``glauber`` or ``report`` run on a small instance,
+    with a non-finite beta or one in [-2, 2]."""
+    beta = repr(draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-2.0, 2.0)))
+    tree = draw(st.sampled_from(["2,1", "2,2", "3,1", "3,2"]))
+    lattice = draw(st.sampled_from(["cycle;n=5", "torus;m=3;d=2", "torus;m=4;d=1",
+                                    "geometric;m=6;k=2", "geometric;m=6;k=1;d=2",
+                                    "knkn;n=3"]))
+    family, sweep = lattice.split(";", 1)
+    b, r = tree.split(",")
+    return draw(st.sampled_from([
+        ["gen", "--family", family] + [x for kv in sweep.split(";") for x in ("--param", kv)],
+        ["gen", "--family", "ising_tree", "--param", f"b={b}", "--param", f"r={r}",
+         "--param", f"beta={beta}"],
+        ["glauber", "--tree", tree, f"--beta={beta}", "--exact"],
+        ["glauber", "--tree", tree, f"--beta={beta}", "--rates", "uniform"],
+        ["report", "--family", family, "--sweep", sweep],
+        ["report", "--family", "ising_tree", "--sweep", f"b={b};r={r};beta={beta}"]]))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_commands())
+@example(["glauber", "--tree", "3,1", "--beta", "1.0", "--exact"])
+@example(["report", "--family", "torus", "--sweep", "m=3;d=2"])
+def test_every_json_output_is_strict(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    if code == cli.EXIT_OK:
+        strict_json(captured.out)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (math.inf, None), (-math.inf, None), (math.nan, None), (1.5, 1.5),
+    ({"a": [1, (math.inf, 2.0)]}, {"a": [1, [None, 2.0]]})])
+def test_json_text_prints_non_finite_floats_as_null(value, expected):
+    assert strict_json(experiments.json_text(value)) == expected
+    # a finite payload is printed as before
+    assert experiments.json_text({"a": [1, 2.5]}) == json.dumps({"a": [1, 2.5]}, indent=2)
 
 
 def test_python_m_fastmix_solves(tmp_path):

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastmix.chains import ReversibleChain, TransitionGraph, symmetric_walk
-from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
-                              knkn_graph, torus_graph)
+from fastmix.families import (complete_graph, geometric_graph, knkn_graph,
+                              torus_graph)
 from fastmix.lower_bounds import (Embedding, embedding_bound, embedding_violations,
-                                  expansion_lower_bound, make_cycle_embedding,
-                                  make_geometric_embedding, make_knkn_embedding,
-                                  make_torus_embedding, specified_chain_bound,
-                                  vertex_expansion)
+                                  expansion_lower_bound, make_geometric_embedding,
+                                  make_knkn_embedding, make_torus_embedding,
+                                  specified_chain_bound, vertex_expansion)
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
 from helpers import (REFERENCE_GRAPHS, expansion_witness_reference, neighbors,
@@ -31,7 +30,7 @@ def circle_vectors(n, radius):
 
 class TestEmbeddingBound:
     def test_cycle4_circle_is_one(self):
-        graph = cycle_graph(4)
+        graph = torus_graph(4, 1)
         emb = Embedding(circle_vectors(4, 1.0), np.ones(4))
         assert embedding_bound(graph, emb) == pytest.approx(1.0, abs=1e-12)
 
@@ -126,7 +125,7 @@ class TestSpecifiedChainBound:
 
     def test_cycle_walks_exact(self):
         for n in range(3, 13):
-            chain = symmetric_walk(cycle_graph(n))
+            chain = symmetric_walk(torus_graph(n, 1))
             radius = SQ2 / (2 * math.sin(math.pi / n))
             bound = specified_chain_bound(chain, circle_vectors(n, radius))
             assert bound == pytest.approx(spectrum(chain).relaxation_time, abs=1e-8)
@@ -145,7 +144,7 @@ class TestSpecifiedChainBound:
             assert bound <= spectrum(chain).relaxation_time + 1e-9
 
     def test_degenerate_vectors_rejected(self):
-        chain = symmetric_walk(cycle_graph(4))
+        chain = symmetric_walk(torus_graph(4, 1))
         with pytest.raises(ValueError, match="degenerate"):
             specified_chain_bound(chain, np.zeros(4))
 
@@ -162,7 +161,7 @@ class TestVertexExpansion:
         assert upsilon == pytest.approx(1.0)
 
     def test_cycle4(self):
-        upsilon, subset = vertex_expansion(cycle_graph(4))
+        upsilon, subset = vertex_expansion(torus_graph(4, 1))
         assert upsilon == pytest.approx(1.0)
         assert subset == (0, 1)
 
@@ -230,15 +229,15 @@ class TestVertexExpansionReference:
     def test_single_node_has_no_cut(self):
         graph = TransitionGraph(1, [])
         assert vertex_expansion(graph) == vertex_expansion_reference(graph) == (math.inf, None)
-        assert vertex_expansion(cycle_graph(4), []) == (math.inf, None)
+        assert vertex_expansion(torus_graph(4, 1), []) == (math.inf, None)
         # with no cut there is no bound to take
-        for graph, candidates in ((graph, None), (cycle_graph(4), [])):
+        for graph, candidates in ((graph, None), (torus_graph(4, 1), [])):
             with pytest.raises(ValueError, match="no proper cut"):
                 expansion_lower_bound(graph, candidates)
 
     def test_candidates_across_blocks(self):
         rng = np.random.default_rng(5)
-        graph = cycle_graph(30)
+        graph = torus_graph(30, 1)
         candidates = [tuple(np.flatnonzero(rng.random(30) < 0.5)) for _ in range(1500)]
         candidates = [c for c in candidates if 0 < len(c) < 30]
         # arcs tie at the minimum; the lexicographically smallest must win
@@ -259,12 +258,12 @@ class TestVertexExpansionReference:
     @pytest.mark.parametrize("bad", [5, 4, -1, 1.5, math.inf, "1", None])
     def test_bad_candidate_node_rejected(self, bad):
         with pytest.raises(ValueError, match=f"candidate node {bad!r}"):
-            vertex_expansion(cycle_graph(4), candidates=[(0, 1), (bad,)])
+            vertex_expansion(torus_graph(4, 1), candidates=[(0, 1), (bad,)])
 
     @pytest.mark.parametrize("subset", [(), (0, 1, 2, 3), (3, 2, 1, 0, 0)])
     def test_improper_candidate_rejected(self, subset):
         with pytest.raises(ValueError, match="proper and nonempty"):
-            vertex_expansion(cycle_graph(4), candidates=[(0,), subset])
+            vertex_expansion(torus_graph(4, 1), candidates=[(0,), subset])
 
     def test_allocation_is_bounded(self):
         graph = random_connected_graph(np.random.default_rng(3), 16)
@@ -300,13 +299,33 @@ class TestExpansionLowerBound:
         assert embedding_violations(graph, bound.embedding) == []
         assert embedding_bound(graph, bound.embedding) >= bound.value == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8),
+           st.lists(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e-17, 1e-9]),
+                    min_size=1, max_size=7))
+    def test_witness_where_returned_certifies_the_value(self, seed, n, light):
+        # extreme pi: the witness may be withheld, never wrong, and the
+        # value 1/(2 Upsilon) is always returned
+        rng = np.random.default_rng(seed)
+        pi = rng.uniform(0.1, 1.0, size=n)
+        light = light[:n - 1]
+        pi[:len(light)] = light
+        pi[len(light):] *= (1.0 - sum(light)) / pi[len(light):].sum()
+        graph = random_connected_graph(rng, n, extra_edge_prob=float(rng.uniform(0.0, 0.6)))
+        graph = TransitionGraph(n, graph.ends, rng.permutation(pi))
+        bound = expansion_lower_bound(graph)
+        assert bound.value == 1.0 / (2.0 * vertex_expansion(graph)[0])
+        if bound.embedding is not None:
+            assert embedding_bound(graph, bound.embedding) >= bound.value
+
     def test_linked_cliques_value(self):
         bound = expansion_lower_bound(knkn_graph(3))
         assert bound.value == pytest.approx(1.5)
 
     def test_witness_identity(self):
         rng = np.random.default_rng(22)
-        graphs = [knkn_graph(3), cycle_graph(5), complete_graph(4),
+        graphs = [knkn_graph(3), torus_graph(5, 1), complete_graph(4),
                   random_connected_graph(rng, 7),
                   random_connected_graph(rng, 6)]
         for graph in graphs:
@@ -328,22 +347,22 @@ class TestExpansionLowerBound:
         assert result.tau2_star == pytest.approx(0.5, abs=1e-12)
 
     def test_cycle4_value(self):
-        assert expansion_lower_bound(cycle_graph(4)).value == pytest.approx(0.5)
+        assert expansion_lower_bound(torus_graph(4, 1)).value == pytest.approx(0.5)
 
 
 class TestAnalyticEmbeddings:
     def test_cycle_values(self):
-        assert embedding_bound(cycle_graph(4), make_cycle_embedding(4)) == \
+        assert embedding_bound(torus_graph(4, 1), make_torus_embedding(4, 1)) == \
             pytest.approx(1.0, abs=1e-12)
         for n in range(3, 17):
-            bound = embedding_bound(cycle_graph(n), make_cycle_embedding(n))
+            bound = embedding_bound(torus_graph(n, 1), make_torus_embedding(n, 1))
             assert bound == pytest.approx(1 / (2 * math.sin(math.pi / n) ** 2), abs=1e-9)
             assert bound >= n ** 2 / (2 * math.pi ** 2)
 
     def test_cycle_matches_symmetric_walk(self):
         for n in range(3, 17):
-            bound = embedding_bound(cycle_graph(n), make_cycle_embedding(n))
-            tau2 = spectrum(symmetric_walk(cycle_graph(n))).relaxation_time
+            bound = embedding_bound(torus_graph(n, 1), make_torus_embedding(n, 1))
+            tau2 = spectrum(symmetric_walk(torus_graph(n, 1))).relaxation_time
             assert bound == pytest.approx(tau2, abs=1e-8)
 
     def test_torus_value(self):
@@ -367,7 +386,7 @@ class TestAnalyticEmbeddings:
         with pytest.raises(ValueError):
             make_knkn_embedding(2)
         with pytest.raises(ValueError):
-            make_cycle_embedding(2)
+            make_torus_embedding(2, 1)
         with pytest.raises(ValueError):
             make_geometric_embedding(6, 3)   # k >= m/2
         with pytest.raises(ValueError):
@@ -378,12 +397,12 @@ class TestSandwich:
     def test_embedding_bounds_below_solver_value(self):
         cases = [
             (knkn_graph(3), make_knkn_embedding(3)),
-            (cycle_graph(4), make_cycle_embedding(4)),
-            (cycle_graph(7), make_cycle_embedding(7)),
+            (torus_graph(4, 1), make_torus_embedding(4, 1)),
+            (torus_graph(7, 1), make_torus_embedding(7, 1)),
             (torus_graph(3, 2), make_torus_embedding(3, 2)),
             (geometric_graph(6, 2), make_geometric_embedding(6, 2)),
             (complete_graph(4), None),
-            (cycle_graph(10), make_cycle_embedding(10)),
+            (torus_graph(10, 1), make_torus_embedding(10, 1)),
         ]
         config = SolverConfig(max_iters=3000)
         for graph, emb in cases:

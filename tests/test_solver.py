@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from fastmix import solver
 from fastmix.chains import ReversibleChain, TransitionGraph, saturate_flows, validate_chain
 from fastmix.experiments import SANDWICH_SLACK
-from fastmix.families import (complete_graph, cycle_graph, geometric_graph,
-                              knkn_graph, path_graph, torus_graph)
+from fastmix.families import (complete_graph, geometric_graph, knkn_graph,
+                              path_graph, torus_graph)
 from fastmix.lower_bounds import (embedding_bound, expansion_lower_bound,
-                                  make_cycle_embedding, make_geometric_embedding,
-                                  make_knkn_embedding, make_torus_embedding)
+                                  make_geometric_embedding, make_knkn_embedding,
+                                  make_torus_embedding)
 from fastmix.solver import CERTIFIED_GAP, SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum, symmetrized
 from fastmix.upper_bounds import (cheeger_upper_bound, congestion,
@@ -41,7 +41,7 @@ class TestSolveFastestMixing:
         assert result.tau2_star == pytest.approx(2.0, abs=1e-2)
 
     def test_cycle4(self):
-        result = solve_fastest_mixing(cycle_graph(4), SMALL)
+        result = solve_fastest_mixing(torus_graph(4, 1), SMALL)
         assert result.tau2_star == pytest.approx(1.0, abs=1e-3)
 
     def test_result_chain_is_feasible(self):
@@ -81,7 +81,7 @@ class TestSolveFastestMixing:
                 SolverConfig(max_iters=value)
 
     def test_json_fields(self):
-        result = solve_fastest_mixing(cycle_graph(5))
+        result = solve_fastest_mixing(torus_graph(5, 1))
         payload = result.to_json_dict()
         assert set(payload) == {"lambda2_star", "tau2_star", "lower_bound",
                                 "certified_gap", "iterations", "certificates", "stop"}
@@ -180,9 +180,9 @@ class TestBarrier:
 ANALYTIC = [
     (knkn_graph(3), make_knkn_embedding(3), True),
     (knkn_graph(6), make_knkn_embedding(6), True),
-    (cycle_graph(4), make_cycle_embedding(4), True),
-    (cycle_graph(7), make_cycle_embedding(7), True),
-    (cycle_graph(12), make_cycle_embedding(12), True),
+    (torus_graph(4, 1), make_torus_embedding(4, 1), True),
+    (torus_graph(7, 1), make_torus_embedding(7, 1), True),
+    (torus_graph(12, 1), make_torus_embedding(12, 1), True),
     (torus_graph(3, 2), make_torus_embedding(3, 2), True),
     (torus_graph(5, 2), make_torus_embedding(5, 2), True),
     (torus_graph(4, 3), make_torus_embedding(4, 3), True),
@@ -307,7 +307,7 @@ class TestCertifiedCentres:
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 9])
     @pytest.mark.parametrize("build", [lambda: _random_uneven(12), lambda: knkn_graph(8),
-                                       lambda: complete_graph(6), lambda: cycle_graph(9)],
+                                       lambda: complete_graph(6), lambda: torus_graph(9, 1)],
                              ids=["random12-uneven-b", "knkn8", "complete6", "cycle9"])
     def test_capped_solve_ends_with_a_certified_pair(self, cap, build, monkeypatch):
         graph = build()
@@ -384,7 +384,7 @@ class TestGridOracle:
 
     def test_too_many_edges_rejected(self):
         with pytest.raises(ValueError, match="edge flows"):
-            grid_oracle(cycle_graph(5), resolution=10)
+            grid_oracle(torus_graph(5, 1), resolution=10)
         assert GRID_MAX_EDGES == 4
 
     def test_resolution_bounds(self):
@@ -413,7 +413,7 @@ class TestSolverAgainstOracle:
 
 class TestSandwichCertification:
     def test_bounds_bracket_solver_value(self):
-        cases = [knkn_graph(3), knkn_graph(4), cycle_graph(4), cycle_graph(7),
+        cases = [knkn_graph(3), knkn_graph(4), torus_graph(4, 1), torus_graph(7, 1),
                  complete_graph(4), torus_graph(3, 2), geometric_graph(6, 2),
                  path_graph(5)]
         config = SolverConfig(max_iters=3000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastmix.chains import ReversibleChain, TransitionGraph, max_degree_chain
-from fastmix.families import complete_graph, cycle_graph, torus_graph
+from fastmix.families import complete_graph, torus_graph
 from fastmix.spectral import (jacobi_eigvalsh, rayleigh_quotient, spectrum, summarize,
                               symmetrized)
 from fastmix.chains import symmetric_walk
@@ -88,7 +88,7 @@ class TestSpectrum:
 
     def test_cycle4_walk_matches_circulant_formula(self):
         # eigenvalues of the cycle walk are cos(2 pi k / n)
-        chain = symmetric_walk(cycle_graph(4))
+        chain = symmetric_walk(torus_graph(4, 1))
         summary = spectrum(chain)
         expected = sorted((math.cos(2 * math.pi * k / 4) for k in range(4)),
                           reverse=True)
@@ -127,7 +127,7 @@ class TestRayleigh:
         assert rayleigh_quotient(chain, [1.0, -1.0]) == pytest.approx(2.0)
 
     def test_cycle_hand_value(self):
-        chain = symmetric_walk(cycle_graph(4))
+        chain = symmetric_walk(torus_graph(4, 1))
         assert rayleigh_quotient(chain, [1.0, 0.0, -1.0, 0.0]) == pytest.approx(1.0)
 
     def test_second_eigenvector_attains_gap(self):
@@ -142,7 +142,7 @@ class TestRayleigh:
             assert rayleigh_quotient(chain, g) == pytest.approx(gap, abs=1e-8)
 
     def test_constant_function_rejected(self):
-        chain = symmetric_walk(cycle_graph(4))
+        chain = symmetric_walk(torus_graph(4, 1))
         with pytest.raises(ValueError, match="constant"):
             rayleigh_quotient(chain, np.ones(4))
 
@@ -152,7 +152,7 @@ class TestRayleigh:
 
 class TestSummarize:
     def test_matches_spectrum_on_lapack_eigenvalues(self):
-        chain = symmetric_walk(cycle_graph(6))
+        chain = symmetric_walk(torus_graph(6, 1))
         lapack = summarize(np.linalg.eigvalsh(symmetrized(chain))[::-1])
         jacobi = spectrum(chain)
         assert lapack.relaxation_time == pytest.approx(jacobi.relaxation_time, rel=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from fastmix.chains import ReversibleChain, TransitionGraph, max_degree_chain, validate_chain
-from fastmix.families import complete_graph, cycle_graph, knkn_graph, torus_graph
+from fastmix.families import complete_graph, knkn_graph, torus_graph
 from fastmix.lower_bounds import expansion_lower_bound
 from fastmix.solver import SolverConfig, solve_fastest_mixing
 from fastmix.spectral import spectrum
@@ -58,7 +58,7 @@ def reference_cases():
     graphs = [random_connected_graph(rng, int(rng.integers(2, 14)),
                                      extra_edge_prob=float(rng.choice([0.0, 0.3])))
               for _ in range(8)]
-    return graphs + [knkn_graph(4), cycle_graph(7), torus_graph(5, 2), complete_graph(5)]
+    return graphs + [knkn_graph(4), torus_graph(7, 1), torus_graph(5, 2), complete_graph(5)]
 
 
 def check_paths_and_loads(graph):
@@ -97,7 +97,7 @@ class TestShortestPaths:
     def test_cycle_tie_break(self):
         # both ties go to the smaller neighbour: the pair (0, 2) runs through
         # 1 and (1, 3) through 0, so edge (0,1) carries three pairs, (2,3) one
-        graph = cycle_graph(4)
+        graph = torus_graph(4, 1)
         assert graph.ends.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
         assert shortest_path_system(graph).tolist() == [5 / 16, 3 / 16, 3 / 16, 1 / 16]
 
@@ -114,7 +114,7 @@ class TestShortestPaths:
     def test_loads_of_another_graph_rejected(self):
         graph = knkn_graph(3)
         chain = max_degree_chain(graph)
-        for loads in (shortest_path_system(cycle_graph(4)), np.ones(8), np.ones((7, 1)), []):
+        for loads in (shortest_path_system(torus_graph(4, 1)), np.ones(8), np.ones((7, 1)), []):
             with pytest.raises(ValueError, match=r"expected one per edge \(7,\)"):
                 congestion(chain, loads)
             with pytest.raises(ValueError, match=r"expected one per edge \(7,\)"):
@@ -140,7 +140,7 @@ class TestCongestion:
         assert spectrum(chain).relaxation_time <= report.rho_bar + 1e-12
 
     def test_zero_flow_loaded_edge_is_infinite(self):
-        graph = cycle_graph(4)
+        graph = torus_graph(4, 1)
         flows = np.array([0.25, 0.25, 0.25, 0.0])
         chain = ReversibleChain(graph, flows)
         report = congestion(chain, shortest_path_system(graph))
